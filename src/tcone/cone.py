@@ -1,11 +1,12 @@
 """Tangent cone at infinity of an affine variety from ideal generators.
 
 The pipeline: compute a reduced Groebner basis of the input ideal under
-a degree-compatible order, homogenize each basis element, restrict to
-the hyperplane at infinity (equivalently: take its top-degree form) and
-canonicalize the resulting homogeneous generators.  If the input ideal
-is radical this cuts out the cone exactly; otherwise it cuts out a
-variety containing it.
+a degree-compatible order, take the top-degree form of each basis
+element (equivalently: homogenize it and restrict to the hyperplane at
+infinity) and canonicalize the resulting homogeneous generators.  The
+zero set of the result is the cone, radical input or not: the
+top-degree form of f^k is the k-th power of that of f, so the forms of
+I and of its radical have the same zero set.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .groebner import Basis, _fresh_name, buchberger, reduce_basis
+from .groebner import Basis, buchberger, reduce_basis
 from .polyring import (
     Monomial,
     MonomialOrder,
@@ -68,20 +69,14 @@ def restrict_infinity(g: Polynomial, var: str) -> Polynomial:
 def tangent_cone_at_infinity(F: Sequence[Polynomial], order: MonomialOrder) -> ConeDescription:
     """Generators of the ideal cutting out the tangent cone at infinity.
 
-    Requires a degree-compatible order.  Both the homogenize-restrict
-    route and the top-degree-form shortcut are computed and checked
-    against each other before canonicalization.
+    Requires a degree-compatible order.  Takes the top-degree form of
+    each reduced basis element, which equals homogenizing it and setting
+    the new variable to 0, and returns the reduced basis of those forms.
     """
     if not order.degree_compatible:
         raise ValueError(f"order {order.kind!r} is not degree-compatible")
     basis = buchberger(F, order)
-    fresh = _fresh_name(basis.context.names, "h")
-    forms = []
-    for g in basis:
-        form = leading_form(g)
-        via_infinity = restrict_infinity(homogenize(g, fresh), fresh)
-        assert form == via_infinity, "homogenize/restrict disagrees with top form"
-        forms.append(form)
+    forms = [leading_form(g) for g in basis]
     return ConeDescription(generators=reduce_basis(forms, order),
                            source_order=order, source_basis=basis)
 

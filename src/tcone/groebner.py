@@ -1,16 +1,19 @@
 """Multivariate division, Buchberger's algorithm and ideal predicates.
 
-Everything here is deterministic: the division algorithm tries divisors
-in list order, Buchberger uses the normal selection strategy (minimal
-lcm degree, ties broken by pair index), and bases are returned in the
-reduced canonical form (monic, inter-reduced, sorted ascending by
-leading monomial) that is unique per ideal and order.
+Everything here is deterministic: the division algorithm reduces the
+largest workspace term first and tries divisors in list order, Buchberger
+uses the normal selection strategy (minimal lcm degree, ties broken by
+pair index) through a heap keyed on (lcm degree, i, j), and bases are
+returned in the reduced canonical form (monic, inter-reduced, sorted
+ascending by leading monomial) that is unique per ideal and order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import neg
 from typing import Sequence
 
 from .polyring import (
@@ -80,30 +83,39 @@ def normal_form(f: Polynomial, divisors, order: MonomialOrder | None = None) -> 
     if gens:
         ctx = _shared_context((f,) + gens)
     lts = [leading_term(g, order) for g in gens]
+    key = order.key
 
+    # The workspace p is drained largest term first through a max-heap on
+    # the negated order key, computed once per monomial as it enters.  A
+    # term that cancels stays in p at coefficient 0 until popped, so each
+    # monomial has one heap entry.  Every new term tm*q is below the term
+    # m it reduces, so no popped monomial comes back.
     p = dict(f.terms)
+    heap = [(tuple(map(neg, key(m))), m) for m in p]
+    heapify(heap)
     remainder: dict[Monomial, Fraction] = {}
-    while p:
-        m = max(p, key=order.key)
-        c = p[m]
+    while heap:
+        m = heappop(heap)[1]
+        c = p.pop(m)
+        if not c:
+            continue
         for g, (gm, gc) in zip(gens, lts):
             if gm.divides(m):
                 q = m.quotient(gm)
                 factor = c / gc
-                del p[m]
                 for tm, tc in g.terms.items():
-                    if tm == gm:
+                    if tm is gm:
                         continue
-                    key = tm.times(q)
-                    s = p.get(key, Fraction(0)) - factor * tc
-                    if s == 0:
-                        p.pop(key, None)
+                    t = tm.times(q)
+                    s = p.get(t)
+                    if s is None:
+                        p[t] = -factor * tc
+                        heappush(heap, (tuple(map(neg, key(t))), t))
                     else:
-                        p[key] = s
+                        p[t] = s - factor * tc
                 break
         else:
             remainder[m] = c
-            del p[m]
     return _raw(f.context, remainder)
 
 
@@ -127,9 +139,12 @@ def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
 
     Zero generators are skipped; an all-zero input is rejected.  A
     nonzero constant anywhere collapses the basis to {1}.  Pairs are
-    selected by minimal lcm degree (normal strategy) and pruned with the
-    coprime-leading-monomial and chain criteria, so the output is a
-    deterministic function of the input list.
+    selected by the normal strategy: a heap pops the pair of minimal lcm
+    degree, ties broken by the pair index (i, j).  The key is computed
+    once per pair, and a new pair always carries the newest index, so
+    the heap pops pairs in the order of a scan for the minimum.  Pairs
+    are pruned with the coprime-leading-monomial and chain criteria, so
+    the output is a deterministic function of the input list.
     """
     gens = [f for f in F if not f.is_zero()]
     if not gens:
@@ -142,12 +157,14 @@ def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
 
     lm = [leading_monomial(g, order) for g in G]
     pending: set[tuple[int, int]] = {(i, j) for j in range(len(G)) for i in range(j)}
+    queue = [(lm[i].lcm(lm[j]).degree, i, j) for i, j in pending]
+    heapify(queue)
 
     def treated(i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) not in pending
 
-    while pending:
-        i, j = min(pending, key=lambda ij: (lm[ij[0]].lcm(lm[ij[1]]).degree, ij))
+    while queue:
+        _, i, j = heappop(queue)
         pending.remove((i, j))
         if lm[i].is_coprime(lm[j]):
             continue
@@ -164,7 +181,9 @@ def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
         G.append(monic(r, order))
         lm.append(leading_monomial(r, order))
         new = len(G) - 1
-        pending.update((k, new) for k in range(new))
+        for k in range(new):
+            pending.add((k, new))
+            heappush(queue, (lm[k].lcm(lm[new]).degree, k, new))
     return reduce_basis(G, order)
 
 

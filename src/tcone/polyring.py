@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add as _add, le as _le, neg as _neg, sub as _sub
 from typing import Iterable, Mapping
 
 # The coefficient field.  Fraction already guarantees lowest terms and a
@@ -89,20 +90,34 @@ class Monomial:
         return sum(self.exponents)
 
     def times(self, other: "Monomial") -> "Monomial":
-        return Monomial(a + b for a, b in zip(self.exponents, other.exponents))
+        return _mono(tuple(map(_add, self.exponents, other.exponents)))
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
+        return all(map(_le, self.exponents, other.exponents))
 
     def quotient(self, other: "Monomial") -> "Monomial":
         """self / other; caller guarantees divisibility."""
-        return Monomial(a - b for a, b in zip(self.exponents, other.exponents))
+        return _mono(tuple(map(_sub, self.exponents, other.exponents)))
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(max(a, b) for a, b in zip(self.exponents, other.exponents))
+        return _mono(tuple(map(max, self.exponents, other.exponents)))
 
     def is_coprime(self, other: "Monomial") -> bool:
         return all(a == 0 or b == 0 for a, b in zip(self.exponents, other.exponents))
+
+
+_set_exponents = Monomial.exponents.__set__
+
+
+def _mono(exps: tuple[int, ...]) -> Monomial:
+    """A Monomial on an exponent tuple the caller knows to be nonnegative ints.
+
+    Skips the validation of ``Monomial(...)``; sums, differences of a
+    divisor and maxima of valid exponent vectors never need it.
+    """
+    m = object.__new__(Monomial)
+    _set_exponents(m, exps)
+    return m
 
 
 @dataclass(frozen=True)
@@ -116,17 +131,18 @@ class MonomialOrder:
 
     kind: str
 
-    def key(self, m: Monomial):
+    def key(self, m: Monomial) -> tuple[int, ...]:
+        """A flat tuple of ints that sorts like m among monomials of its context."""
         e = m.exponents
         if self.kind == "lex":
             return e
         if self.kind == "grlex":
-            return (sum(e), e)
+            return (sum(e),) + e
         if self.kind == "grevlex":
-            return (sum(e), tuple(-x for x in reversed(e)))
+            return (sum(e),) + tuple(map(_neg, reversed(e)))
         if self.kind == "elim1":
             rest = e[1:]
-            return (e[0], sum(rest), tuple(-x for x in reversed(rest)))
+            return (e[0], sum(rest)) + tuple(map(_neg, reversed(rest)))
         raise ValueError(f"unknown order kind {self.kind!r}")
 
     @property
@@ -284,9 +300,6 @@ class Polynomial:
             return constant(self.context, other)
         return NotImplemented
 
-    def scale(self, c: Rational) -> "Polynomial":
-        return self * Fraction(c)
-
 
 def _raw(context: VariableContext, terms: dict[Monomial, Fraction]) -> Polynomial:
     """Build from an already-clean term dict (no zero coefficients)."""
@@ -322,20 +335,7 @@ def variables(context: VariableContext) -> list[Polynomial]:
     return [variable(context, name) for name in context.names]
 
 
-def from_terms(context: VariableContext,
-               terms: Mapping[tuple[int, ...], Rational]) -> Polynomial:
-    return Polynomial(context, {Monomial(e): c for e, c in terms.items()})
-
-
 # -- core operations ---------------------------------------------------
-
-
-def add(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f + g
-
-
-def multiply(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
 
 
 def differentiate(f: Polynomial, var_index: int) -> Polynomial:

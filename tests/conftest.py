@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from tcone.polyring import VariableContext, variables
@@ -23,3 +25,28 @@ def five_lines(xyz):
     """Generators xy and z(x^3 - y^2 + z^2) of the five-lines ideal."""
     ctx, x, y, z = xyz
     return ctx, x * y, z * (x**3 - y**2 + z**2)
+
+
+def cyclic(n):
+    """The cyclic-n system: for each k < n the sum of the n cyclic products
+    of k consecutive variables, and x0*...*x(n-1) - 1."""
+    xs = variables(VariableContext(tuple(f"x{i}" for i in range(n))))
+    return [sum(math.prod(xs[(i + j) % n] for j in range(k)) for i in range(n))
+            for k in range(1, n)] + [math.prod(xs) - 1]
+
+
+def katsura(n):
+    """The katsura-n system in u0..un, with u(-l) = u(l) and u(l) = 0 for l > n."""
+    us = variables(VariableContext(tuple(f"u{i}" for i in range(n + 1))))
+
+    def u(l):
+        return us[abs(l)] if abs(l) <= n else 0
+
+    return [sum(u(l) * u(m - l) for l in range(-n, n + 1)) - u(m) for m in range(n)] \
+        + [us[0] + 2 * sum(us[1:]) - 1]
+
+
+@pytest.fixture(params=["cyclic4", "katsura3"])
+def standard_system(request):
+    """(name, generators) of cyclic-4 and of katsura-3."""
+    return request.param, {"cyclic4": cyclic(4), "katsura3": katsura(3)}[request.param]

@@ -10,7 +10,7 @@ from tcone.cone import (
     restrict_infinity,
     tangent_cone_at_infinity,
 )
-from tcone.groebner import buchberger, ideal_equal
+from tcone.groebner import buchberger, ideal_equal, ideal_member
 from tcone.polyring import (
     GREVLEX,
     LEX,
@@ -121,6 +121,12 @@ def test_two_path_equality_random():
         assert restrict_infinity(homogenize(f, "_t"), "_t") == leading_form(f)
 
 
+def test_two_path_equality_on_basis(standard_system):
+    _, F = standard_system
+    for g in buchberger(F, GREVLEX):
+        assert restrict_infinity(homogenize(g, "_t"), "_t") == leading_form(g)
+
+
 # -- tangent cone pipeline ----------------------------------------------------
 
 
@@ -150,6 +156,26 @@ def test_cone_sum_ideal_is_origin(xy):
     assert cone_membership(cone, (0, 0))
     assert not cone_membership(cone, (0, 1))
     assert not cone_membership(cone, (1, 0))
+
+
+def power_in(f, basis, up_to=4):
+    """The least k <= up_to with f^k in the ideal of basis, else None."""
+    return next((k for k in range(1, up_to + 1) if ideal_member(f**k, basis)), None)
+
+
+@pytest.mark.parametrize("ideal,radical", [
+    (lambda x, y: [(y - x**2)**2], lambda x, y: [y - x**2]),
+    (lambda x, y: [x**2, x * y], lambda x, y: [x]),
+])
+def test_non_radical_cone_has_the_same_radical(xy, ideal, radical):
+    # LF(f^k) = LF(f)^k, so the cone ideals of I and of its radical differ
+    # but have the same radical: each generator of one has a power in the other.
+    ctx, x, y = xy
+    cone = tangent_cone_at_infinity(ideal(x, y), GREVLEX).generators
+    radical_cone = tangent_cone_at_infinity(radical(x, y), GREVLEX).generators
+    assert cone.generators != radical_cone.generators
+    assert [power_in(g, cone) for g in radical_cone] == [2]
+    assert all(power_in(g, radical_cone) == 1 for g in cone)
 
 
 def test_cone_rejects_non_degree_order(xy):

@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from tcone.groebner import (
 )
 from tcone.polyring import (
     GREVLEX,
+    ORDERS_BY_NAME,
     Monomial,
     Polynomial,
     VariableContext,
@@ -24,8 +27,11 @@ from tcone.polyring import (
     variables,
     zero,
 )
+from tcone.textio import render_polynomial
 
 from test_polyring import random_poly
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # -- normal form ----------------------------------------------------------
@@ -60,6 +66,14 @@ def test_normal_form_idempotent():
         f = random_poly(ctx, rng, max_degree=5)
         r = normal_form(f, gens, GREVLEX)
         assert normal_form(r, gens, GREVLEX) == r
+
+
+def test_normal_form_term_cancels_then_returns(xyz):
+    # Reducing x^2 by the first divisor cancels the -z^2 of f; reducing
+    # x*y by the second brings z^2 back: f - g1 - g2 = z^2.
+    ctx, x, y, z = xyz
+    f = x**2 + x * y - z**2
+    assert normal_form(f, [x**2 - z**2, x * y - z**2], GREVLEX) == z**2
 
 
 # -- s-polynomials ---------------------------------------------------------
@@ -110,6 +124,14 @@ def test_buchberger_line_and_parabola(xy):
     ctx, x, y = xy
     basis = buchberger([x, y - x**2], GREVLEX)
     assert set(basis.generators) == {x, y}
+
+
+@pytest.mark.parametrize("kind", ["lex", "grlex", "grevlex"])
+def test_buchberger_matches_golden_bases(standard_system, kind):
+    name, F = standard_system
+    golden = json.loads((GOLDEN / "buchberger_systems.json").read_text())
+    basis = buchberger(F, ORDERS_BY_NAME[kind])
+    assert [render_polynomial(g, basis.order) for g in basis] == golden[f"{name}/{kind}"]
 
 
 def test_buchberger_constant_generator(xy):
