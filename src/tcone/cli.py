@@ -9,16 +9,22 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from . import numeric, textio
+from . import textio
 from .cone import cone_membership, tangent_cone_at_infinity
 from .groebner import ZeroIdealError, buchberger
 from .polyring import ORDERS_BY_NAME, ContextMismatchError, ZeroPolynomialError
 from .textio import ParseError, parse_ideal, parse_point
 
-_VERDICT_EXIT = {numeric.PASS: 0, numeric.FAIL: 2, numeric.INCONCLUSIVE: 3}
+if TYPE_CHECKING:
+    from .numeric import VerificationReport
+
+# Keyed by the verdict strings of tcone.numeric, which is imported only by
+# the verify commands: it pulls in numpy, which gb, cone and member never need.
+_VERDICT_EXIT = {"pass": 0, "fail": 2, "inconclusive": 3}
 
 _order_option = click.option(
     "--order", "order_name", default="grevlex",
@@ -40,7 +46,7 @@ def _schedule_options(fn):
     return fn
 
 
-def _emit_report(report: numeric.VerificationReport, as_json: bool) -> int:
+def _emit_report(report: VerificationReport, as_json: bool) -> int:
     if as_json:
         click.echo(textio.render_json(report))
     else:
@@ -125,6 +131,7 @@ def verify():
 def verify_ratio(ideal_file, direction, t0, factor, steps, pass_decay,
                  plateau_tol, order_name, as_json):
     """Degree-normalized generator decay along a ray."""
+    from . import numeric
     ideal = _load_ideal(ideal_file)
     v = parse_point(direction, ideal.context).complexes
     basis = buchberger(ideal.polynomials, ORDERS_BY_NAME[order_name])
@@ -149,6 +156,7 @@ def verify_ratio(ideal_file, direction, t0, factor, steps, pass_decay,
 def verify_distance(ideal_file, direction, t0, factor, steps, seed, residual_tol,
                     pass_decay, plateau_tol, order_name, as_json):
     """Distance-ratio decay dist(t*v, V)/t along a ray."""
+    from . import numeric
     ideal = _load_ideal(ideal_file)
     v = parse_point(direction, ideal.context).complexes
     basis = buchberger(ideal.polynomials, ORDERS_BY_NAME[order_name])
@@ -171,6 +179,7 @@ def verify_distance(ideal_file, direction, t0, factor, steps, seed, residual_tol
 @_json_option
 def verify_sample(ideal_file, radius, trials, seed, sample_tol, min_fraction, as_json):
     """Far-point direction sampling (single-generator ideals only)."""
+    from . import numeric
     ideal = _load_ideal(ideal_file)
     nonzero = [p for p in ideal.polynomials if not p.is_zero()]
     if len(nonzero) != 1:

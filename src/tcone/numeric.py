@@ -15,6 +15,7 @@ report is bit-reproducible.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -24,6 +25,10 @@ import numpy as np
 from .polyring import Polynomial, differentiate, total_degree, leading_form
 
 ComplexPoint = tuple[complex, ...]
+# A polynomial compiled for repeated evaluation: one (coefficient,
+# ((variable index, exponent), ...)) entry per term, in f.terms order,
+# listing only the nonzero exponents.
+Compiled = tuple[tuple[complex, tuple[tuple[int, int], ...]], ...]
 
 PASS = "pass"
 FAIL = "fail"
@@ -107,23 +112,43 @@ class FarSamples:
     seed: int
 
 
-def evaluate_complex(f: Polynomial, point: Sequence[complex]) -> complex:
-    """Floating evaluation; coefficients converted term by term."""
-    if len(point) != f.context.n:
-        raise ValueError(f"point has {len(point)} entries, expected {f.context.n}")
+def _coefficient(c) -> complex:
+    try:
+        return complex(float(c))
+    except OverflowError:  # evaluation then ends non-finite, as it must
+        return complex(math.inf)
+
+
+def _compile(f: Polynomial) -> Compiled:
+    """f with float coefficients and sparse exponents, for _evaluate."""
+    return tuple((_coefficient(c), tuple((i, e) for i, e in enumerate(m.exponents) if e))
+                 for m, c in f.terms.items())
+
+
+def _evaluate(compiled: Compiled, xs: Sequence[complex]) -> complex:
+    """Floating evaluation of a compiled polynomial, term by term.
+
+    ``xs`` holds Python complex numbers; callers convert each point once.
+    """
     total = 0j
     try:
-        for m, c in f.terms.items():
-            v = complex(float(c))
-            for x, e in zip(point, m.exponents):
-                if e:
-                    v *= complex(x) ** e
+        for coeff, powers in compiled:
+            v = coeff
+            for i, e in powers:
+                v *= xs[i] ** e
             total += v
     except OverflowError as err:
         raise EvaluationOverflowError("evaluation overflowed double precision") from err
     if not (math.isfinite(total.real) and math.isfinite(total.imag)):
         raise EvaluationOverflowError("evaluation overflowed double precision")
     return total
+
+
+def evaluate_complex(f: Polynomial, point: Sequence[complex]) -> complex:
+    """Floating evaluation of f at point, term by term."""
+    if len(point) != f.context.n:
+        raise ValueError(f"point has {len(point)} entries, expected {f.context.n}")
+    return _evaluate(_compile(f), [complex(x) for x in point])
 
 
 def _horner(coeffs: Sequence[complex], z: complex) -> complex:
@@ -138,24 +163,29 @@ def roots_univariate(coeffs: Sequence[complex], tol: float = 1e-12) -> RootsResu
     """All complex roots by simultaneous Weierstrass/Durand-Kerner iteration.
 
     ``coeffs`` are ascending (coeffs[k] multiplies z**k).  Initial
-    guesses are powers of 0.4+0.9i scaled by the Cauchy bound; sweeps
+    guesses are powers of 0.4+0.9i scaled by Fujiwara's bound
+    2*max_k |a_k|**(1/(n-k)) on the root moduli of the monic polynomial
+    (1 when that is 0), so they start on the scale of the roots; sweeps
     run until the largest correction drops below tol times the root
-    scale, or 500 sweeps.  Roots are returned even without convergence;
-    per-root residuals let the caller judge them.
+    scale, or 500 sweeps.  A sweep that leaves a root non-finite ends
+    the iteration unconverged.  Roots are returned even without
+    convergence; per-root residuals let the caller judge them.
     """
     coeffs = [complex(c) for c in coeffs]
     n = len(coeffs) - 1
     if n < 1:
         raise ValueError("degree must be at least 1")
+    if not all(cmath.isfinite(c) for c in coeffs):
+        raise ValueError("coefficients must be finite")
     magnitudes = [abs(c) for c in coeffs]
     if abs(coeffs[-1]) <= 1e-30 * max(magnitudes):
         raise ValueError("degenerate leading coefficient")
     lead = coeffs[-1]
     a = [c / lead for c in coeffs]
 
-    cauchy = 1.0 + max(abs(c) for c in a[:-1])
+    radius = 2.0 * max(abs(c) ** (1.0 / (n - k)) for k, c in enumerate(a[:-1])) or 1.0
     base = 0.4 + 0.9j
-    z = [cauchy * base ** (k + 1) for k in range(n)]
+    z = [radius * base ** (k + 1) for k in range(n)]
 
     sweeps = 0
     converged = False
@@ -172,6 +202,8 @@ def roots_univariate(coeffs: Sequence[complex], tol: float = 1e-12) -> RootsResu
             w = _horner(a, z[i]) / denom
             z[i] -= w
             max_correction = max(max_correction, abs(w))
+        if not all(map(cmath.isfinite, z)):
+            break  # left double precision; max() above passes over a NaN
         scale = max(1.0, max(abs(zi) for zi in z))
         if max_correction < tol * scale:
             converged = True
@@ -255,11 +287,11 @@ def far_sample_report(f: Polynomial, radius: float = 1e6, trials: int = 100,
     give a top-form residual below ``residual_tol``.
     """
     samples_obj = sample_far_directions(f, radius, trials, seed)
-    form = leading_form(f)
+    form = _compile(leading_form(f))
     measured: list[tuple[float, float | None]] = []
     good = 0
     for u in samples_obj.directions:
-        residual = abs(evaluate_complex(form, u))
+        residual = abs(_evaluate(form, u))
         measured.append((radius, residual))
         if residual < residual_tol:
             good += 1
@@ -316,13 +348,14 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
     if all(z == 0 for z in v):
         raise ValueError("direction must be nonzero")
     degrees = [total_degree(g) for g in gens]
+    compiled = [_compile(g) for g in gens]
     samples: list[tuple[float, float | None]] = []
     overflow_at = None
     for t in sched.values():
         point = tuple(t * complex(z) for z in v)
         try:
-            r = max(abs(evaluate_complex(g, point)) ** (1.0 / d)
-                    for g, d in zip(gens, degrees)) / t
+            r = max(abs(_evaluate(g, point)) ** (1.0 / d)
+                    for g, d in zip(compiled, degrees)) / t
         except EvaluationOverflowError:
             overflow_at = t
             samples.append((t, None))
@@ -356,27 +389,26 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
 # -- distance estimation ------------------------------------------------
 
 
-def _residual_vector(gens, point: np.ndarray) -> np.ndarray:
-    values = [evaluate_complex(g, point) for g in gens]
-    out = np.empty(2 * len(values))
-    for i, val in enumerate(values):
-        out[2 * i] = val.real
-        out[2 * i + 1] = val.imag
-    return out
+def _residual_vector(gens: Sequence[Compiled], point: np.ndarray) -> np.ndarray:
+    xs = [complex(x) for x in point]
+    out = []
+    for g in gens:
+        val = _evaluate(g, xs)
+        out += (val.real, val.imag)
+    return np.array(out)
 
 
-def _real_jacobian(jac_polys, point: np.ndarray) -> np.ndarray:
-    m = len(jac_polys)
-    n = len(point)
-    J = np.empty((2 * m, 2 * n))
-    for i, row in enumerate(jac_polys):
-        for j, dg in enumerate(row):
-            d = evaluate_complex(dg, point)
-            J[2 * i, 2 * j] = d.real
-            J[2 * i, 2 * j + 1] = -d.imag
-            J[2 * i + 1, 2 * j] = d.imag
-            J[2 * i + 1, 2 * j + 1] = d.real
-    return J
+def _real_jacobian(jac_polys: Sequence[Sequence[Compiled]], point: np.ndarray) -> np.ndarray:
+    xs = [complex(x) for x in point]
+    rows = []
+    for row in jac_polys:
+        re_row, im_row = [], []
+        for dg in row:
+            d = _evaluate(dg, xs)
+            re_row += (d.real, -d.imag)
+            im_row += (d.imag, d.real)
+        rows += (re_row, im_row)
+    return np.array(rows)
 
 
 def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
@@ -400,11 +432,13 @@ def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
     if len(x0) != n:
         raise ValueError(f"start point has {len(x0)} entries, expected {n}")
     degrees = [total_degree(g) for g in gens]
-    jac_polys = [[differentiate(g, j) for j in range(n)] for g in gens]
+    jac_polys = [[_compile(differentiate(g, j)) for j in range(n)] for g in gens]
+    gens = [_compile(g) for g in gens]
 
     def converged_at(z: Sequence[complex]) -> bool:
         scale = max(1.0, _norm(z))
-        return all(abs(evaluate_complex(g, z)) / scale ** d < opts.residual_tol
+        xs = [complex(x) for x in z]
+        return all(abs(_evaluate(g, xs)) / scale ** d < opts.residual_tol
                    for g, d in zip(gens, degrees))
 
     starts = [x0]
@@ -497,6 +531,7 @@ def _levenberg_run(gens, jac_polys, start, converged_at, opts) -> ComplexPoint |
     except EvaluationOverflowError:
         return None
     cost = float(res @ res)
+    eye = np.eye(2 * n)
     for _ in range(opts.max_iterations):
         J = _real_jacobian(jac_polys, z)
         A = J.T @ J
@@ -504,7 +539,7 @@ def _levenberg_run(gens, jac_polys, start, converged_at, opts) -> ComplexPoint |
         accepted = False
         while damping <= 1e12:
             try:
-                delta = np.linalg.solve(A + damping * np.eye(2 * n), b)
+                delta = np.linalg.solve(A + damping * eye, b)
             except np.linalg.LinAlgError:
                 damping *= 10
                 continue

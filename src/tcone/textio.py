@@ -26,11 +26,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .groebner import Basis
 from .cone import ConeDescription
-from .numeric import VerificationReport
 from .polyring import (
     Monomial,
     MonomialOrder,
@@ -39,6 +38,9 @@ from .polyring import (
     constant,
     variable,
 )
+
+if TYPE_CHECKING:  # numeric pulls in numpy, which gb, cone and member never need
+    from .numeric import VerificationReport
 
 
 class ParseError(ValueError):
@@ -413,6 +415,7 @@ def render_json(result) -> str:
             render_polynomial(g, result.generators.order) for g in result.generators
         ]
         return dumps(payload)
+    from .numeric import VerificationReport
     if isinstance(result, VerificationReport):
         return dumps(_report_payload(result))
     raise TypeError(f"cannot render {type(result).__name__}")

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tcone
 from tcone.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -171,6 +175,22 @@ def test_help_exit_zero(capsys):
     assert "verify" in out
 
 
+def test_exact_commands_do_not_import_numpy():
+    script = (
+        "import sys\n"
+        "import tcone.cli\n"
+        "assert 'numpy' not in sys.modules, 'import tcone.cli'\n"
+        f"for args in (['gb', {FIVELINES!r}], ['cone', {FIVELINES!r}],\n"
+        f"             ['member', {FIVELINES!r}, '--point', '0,0,1']):\n"
+        "    assert tcone.cli.main(args) == 0, args\n"
+        "    assert 'numpy' not in sys.modules, args\n")
+    src = str(Path(tcone.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 # -- golden files -------------------------------------------------------------------
 
 
@@ -180,6 +200,8 @@ GOLDEN_CASES = [
     ("ratio_fivelines_001.json",
      ["verify", "ratio", FIVELINES, "--direction", "0,0,1",
       "--t0", "10", "--factor", "10", "--steps", "5", "--json"]),
+    ("distance_cusp_10.json",
+     ["verify", "distance", CUSP, "--direction", "1,0", "--json"]),
 ]
 
 

@@ -86,10 +86,39 @@ def test_evaluate_complex_agrees_with_exact():
         assert abs(approx - float(exact)) <= 1e-12 * max(1.0, abs(float(exact)))
 
 
+def term_loop_evaluate(f, point):
+    """Reference: the per-term loop over f.terms, converting as it goes."""
+    total = 0j
+    for m, c in f.terms.items():
+        v = complex(float(c))
+        for x, e in zip(point, m.exponents):
+            if e:
+                v *= complex(x) ** e
+        total += v
+    return total
+
+
+def test_evaluate_complex_bit_identical_to_term_loop():
+    # reports rely on compiled evaluation repeating this arithmetic exactly
+    ctx = VariableContext(("x", "y", "z"))
+    rng = random.Random(11)
+    for _ in range(80):
+        f = random_poly(ctx, rng)
+        point = tuple(complex(rng.uniform(-50, 50), rng.uniform(-50, 50))
+                      for _ in range(3))
+        assert evaluate_complex(f, point) == term_loop_evaluate(f, point)
+
+
 def test_evaluate_complex_overflow(xy):
     ctx, x, y = xy
     with pytest.raises(EvaluationOverflowError):
         evaluate_complex(x**3, (1e200, 0))
+
+
+def test_evaluate_complex_coefficient_overflow(xy):
+    ctx, x, y = xy
+    with pytest.raises(EvaluationOverflowError):
+        evaluate_complex(Fraction(10**400) * x + y, (0, 1))
 
 
 def test_evaluate_complex_arity(xy):
@@ -127,6 +156,58 @@ def test_roots_degenerate_leading_coefficient():
         roots_univariate([5.0])
 
 
+def test_roots_reject_non_finite_coefficients():
+    with pytest.raises(ValueError):
+        roots_univariate([math.nan, 1.0])
+    with pytest.raises(ValueError):
+        roots_univariate([1.0, complex(0, math.inf), 1.0])
+
+
+def test_roots_non_finite_correction_is_not_converged():
+    # The start z ~ 1e30 overflows z**11, so the first correction is
+    # non-finite; the iteration must stop there, unconverged.
+    result = roots_univariate([1] + [0] * 9 + [5e29, 1])
+    assert not result.converged
+    assert result.sweeps == 1
+
+
+def test_roots_degree_60_converge_to_finite_roots():
+    # z**60 = -1e29: from a start on the scale of the coefficients every
+    # correction was NaN, which the convergence test used to pass over.
+    result = roots_univariate([1e29] + [0] * 59 + [1])
+    assert result.converged
+    assert all(cmath.isfinite(z) for z in result.roots)
+    modulus = 1e29 ** (1 / 60)
+    assert all(abs(abs(z) - modulus) < 1e-12 * modulus for z in result.roots)
+
+
+def test_roots_start_on_the_scale_of_the_roots():
+    # Roots of modulus ~1e3: a start at the Cauchy radius 1 + max|a_k|
+    # (~1e24 here) took about 280 sweeps; the Fujiwara radius needs few.
+    rng = random.Random(8)
+    scale = 1e3
+    roots = [scale * cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi))
+             for _ in range(8)]
+    coeffs = poly_from_roots(roots)
+    result = roots_univariate(coeffs)
+    assert result.converged
+    assert result.sweeps <= 40
+    assert_multiset_close(result.roots, roots, 1e-8 * scale)
+    # the unit-scale residual bound of the tests above, carried to this
+    # scale: p(scale * w) = scale**8 * q(w) for the monic q with roots/scale
+    assert max(result.residuals) < 1e-10 * scale ** 8
+
+
+def poly_from_roots(roots):
+    """Ascending coefficients of the monic polynomial with these roots."""
+    coeffs = [1 + 0j]
+    for r in roots:  # multiply out (z - r) factors, ascending storage
+        coeffs = [0j] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= r * coeffs[i + 1]
+    return coeffs
+
+
 def assert_multiset_close(got, expected, tol):
     got = list(got)
     assert len(got) == len(expected)
@@ -142,12 +223,7 @@ def test_roots_random_recovery():
         degree = rng.randint(2, 8)
         roots = [complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
                  for _ in range(degree)]
-        coeffs = [1 + 0j]
-        for r in roots:  # multiply out (z - r) factors, ascending storage
-            coeffs = [0j] + coeffs
-            for i in range(len(coeffs) - 1):
-                coeffs[i] -= r * coeffs[i + 1]
-        result = roots_univariate(coeffs)
+        result = roots_univariate(poly_from_roots(roots))
         assert_multiset_close(result.roots, roots, 1e-8)
 
 
