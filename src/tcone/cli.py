@@ -23,7 +23,8 @@ if TYPE_CHECKING:
     from .numeric import VerificationReport
 
 # Keyed by the verdict strings of tcone.numeric, which is imported only by
-# the verify commands: it pulls in numpy, which gb, cone and member never need.
+# the verify commands: gb, cone and member never need it, and importing it
+# would lengthen their start.
 _VERDICT_EXIT = {"pass": 0, "fail": 2, "inconclusive": 3}
 
 _order_option = click.option(

@@ -6,14 +6,26 @@ uses the normal selection strategy (minimal lcm degree, ties broken by
 pair index) through a heap keyed on (lcm degree, i, j), and bases are
 returned in the reduced canonical form (monic, inter-reduced, sorted
 ascending by leading monomial) that is unique per ideal and order.
+
+Reduction runs on integer numerators over plain exponent tuples.  Each
+divisor enters as a reducer (leading exponents, leading coefficient,
+tail as ((exponents, coefficient), ...)): the divisor times the positive
+rational that makes its coefficients coprime integers.  The workspace is
+rescaled instead of divided.  Which divisor reduces a term depends only
+on monomials, and a multiple of a divisor cancels a term just as the
+divisor does, so the reductions are those of division over the
+rationals, in the same order, and every remainder and basis is
+identical to the rational one, term for term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
-from operator import neg
+from math import gcd, lcm
+from operator import add, le, neg, sub
 from typing import Sequence
 
 from .polyring import (
@@ -24,10 +36,10 @@ from .polyring import (
     VariableContext,
     ELIM_FIRST,
     constant,
-    leading_monomial,
     leading_term,
     monic,
     variable,
+    _mono,
     _raw,
 )
 
@@ -53,6 +65,11 @@ class Basis:
     @property
     def context(self) -> VariableContext:
         return self.generators[0].context
+
+    @cached_property
+    def _reducers(self) -> list[tuple]:
+        """The generators as reducers, built on the first division by this basis."""
+        return _reducers(self.generators, self.order)
 
 
 def _shared_context(polys: Sequence[Polynomial]) -> VariableContext:
@@ -81,42 +98,101 @@ def normal_form(f: Polynomial, divisors, order: MonomialOrder | None = None) -> 
     if any(g.is_zero() for g in gens):
         raise ZeroIdealError("zero divisor polynomial")
     if gens:
-        ctx = _shared_context((f,) + gens)
-    lts = [leading_term(g, order) for g in gens]
-    key = order.key
+        _shared_context((f,) + gens)
+    reducers = divisors._reducers if isinstance(divisors, Basis) else _reducers(gens, order)
+    return _normal_form(f, reducers, order.exponent_key)
 
-    # The workspace p is drained largest term first through a max-heap on
-    # the negated order key, computed once per monomial as it enters.  A
-    # term that cancels stays in p at coefficient 0 until popped, so each
-    # monomial has one heap entry.  Every new term tm*q is below the term
-    # m it reduces, so no popped monomial comes back.
-    p = dict(f.terms)
-    heap = [(tuple(map(neg, key(m))), m) for m in p]
+
+def _integer_terms(f: Polynomial) -> tuple[dict[tuple[int, ...], int], int]:
+    """(d*f as exponents -> int, d) for d > 0 the least common denominator."""
+    d = lcm(*(c.denominator for c in f.terms.values()))
+    return {m.exponents: c.numerator * (d // c.denominator) for m, c in f.terms.items()}, d
+
+
+def _reducer(p: dict[tuple[int, ...], int], key) -> tuple:
+    """The reducer of the nonzero integer terms p under the exponent key."""
+    lead = max(p, key=key)
+    g = gcd(*p.values())
+    return lead, p[lead] // g, tuple((e, c // g) for e, c in p.items() if e is not lead)
+
+
+def _reducers(gens: Sequence[Polynomial], order: MonomialOrder) -> list[tuple]:
+    """The reducers of nonzero polynomials, in their order."""
+    key = order.exponent_key
+    return [_reducer(_integer_terms(g)[0], key) for g in gens]
+
+
+def _reduce(p: dict[tuple[int, ...], int], reducers, key) -> tuple[dict[tuple[int, ...], int], int]:
+    """Fraction-free division of the integer terms p (consumed) by the reducers.
+
+    Returns the remainder r and a nonzero scale D such that r / D is the
+    remainder of rational division, term for term and in its order.
+    The workspace p is drained largest term first through a max-heap on
+    the negated order key, computed once per monomial as it enters.  A
+    term that cancels stays in p at coefficient 0 until popped, so each
+    monomial has one heap entry.  Every new term is below the term m it
+    reduces, so no popped monomial comes back.  When a reducer's leading
+    coefficient gc does not divide the term's coefficient c, p and r are
+    first multiplied by gc / gcd(c, gc), and D with them.
+    """
+    heap = [(tuple(map(neg, key(e))), e) for e in p]
     heapify(heap)
-    remainder: dict[Monomial, Fraction] = {}
+    remainder: dict[tuple[int, ...], int] = {}
+    scale = 1
     while heap:
         m = heappop(heap)[1]
         c = p.pop(m)
         if not c:
             continue
-        for g, (gm, gc) in zip(gens, lts):
-            if gm.divides(m):
-                q = m.quotient(gm)
-                factor = c / gc
-                for tm, tc in g.terms.items():
-                    if tm is gm:
-                        continue
-                    t = tm.times(q)
-                    s = p.get(t)
-                    if s is None:
-                        p[t] = -factor * tc
+        for gm, gc, tail in reducers:
+            if all(map(le, gm, m)):
+                g = gcd(c, gc)
+                if g != gc:
+                    s = gc // g
+                    scale *= s
+                    p = {e: v * s for e, v in p.items()}
+                    remainder = {e: v * s for e, v in remainder.items()}
+                c //= g
+                q = tuple(map(sub, m, gm))
+                for te, tc in tail:
+                    t = tuple(map(add, te, q))
+                    v = p.get(t)
+                    if v is None:
+                        p[t] = -c * tc
                         heappush(heap, (tuple(map(neg, key(t))), t))
                     else:
-                        p[t] = s - factor * tc
+                        p[t] = v - c * tc
                 break
         else:
             remainder[m] = c
-    return _raw(f.context, remainder)
+    return remainder, scale
+
+
+def _normal_form(f: Polynomial, reducers, key) -> Polynomial:
+    """normal_form of f by divisors already made reducers."""
+    p, d = _integer_terms(f)
+    remainder, scale = _reduce(p, reducers, key)
+    d *= scale
+    return _raw(f.context, {_mono(e): Fraction(c, d) for e, c in remainder.items()})
+
+
+def _s_polynomial(a, b) -> dict[tuple[int, ...], int]:
+    """Integer terms of a nonzero multiple of the S-polynomial of two reducers.
+
+    gc_b*(L/lm_a)*tail_a - gc_a*(L/lm_b)*tail_b, both factors divided by
+    gcd(gc_a, gc_b), with L = lcm(lm_a, lm_b); cancelled terms stay at 0.
+    """
+    am, ac, at = a
+    bm, bc, bt = b
+    l = tuple(map(max, am, bm))
+    g = gcd(ac, bc)
+    fa, fb = bc // g, ac // g
+    qa, qb = tuple(map(sub, l, am)), tuple(map(sub, l, bm))
+    p = {tuple(map(add, e, qa)): fa * c for e, c in at}
+    for e, c in bt:
+        t = tuple(map(add, e, qb))
+        p[t] = p.get(t, 0) - fb * c
+    return p
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -144,7 +220,9 @@ def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
     once per pair, and a new pair always carries the newest index, so
     the heap pops pairs in the order of a scan for the minimum.  Pairs
     are pruned with the coprime-leading-monomial and chain criteria, so
-    the output is a deterministic function of the input list.
+    the output is a deterministic function of the input list.  Each
+    basis element's reducer is built once, when it joins the basis, and
+    S-polynomials are formed and reduced on the reducers.
     """
     gens = [f for f in F if not f.is_zero()]
     if not gens:
@@ -155,9 +233,11 @@ def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
     if any(g.is_constant() for g in G):
         return Basis((constant(ctx, 1),), order, reduced=True)
 
-    lm = [leading_monomial(g, order) for g in G]
+    key = order.exponent_key
+    R = _reducers(G, order)
+    lm = [r[0] for r in R]
     pending: set[tuple[int, int]] = {(i, j) for j in range(len(G)) for i in range(j)}
-    queue = [(lm[i].lcm(lm[j]).degree, i, j) for i, j in pending]
+    queue = [(sum(map(max, lm[i], lm[j])), i, j) for i, j in pending]
     heapify(queue)
 
     def treated(i: int, j: int) -> bool:
@@ -166,24 +246,28 @@ def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
     while queue:
         _, i, j = heappop(queue)
         pending.remove((i, j))
-        if lm[i].is_coprime(lm[j]):
+        if not any(map(min, lm[i], lm[j])):  # coprime leading monomials
             continue
-        l = lm[i].lcm(lm[j])
-        if any(k != i and k != j and lm[k].divides(l)
+        l = tuple(map(max, lm[i], lm[j]))
+        if any(k != i and k != j and all(map(le, lm[k], l))
                and treated(i, k) and treated(j, k)
                for k in range(len(G))):
             continue
-        r = normal_form(s_polynomial(G[i], G[j], order), G, order)
-        if r.is_zero():
+        r, _ = _reduce(_s_polynomial(R[i], R[j]), R, key)
+        if not r:
             continue
-        if r.is_constant():
+        new_reducer = _reducer(r, key)
+        lead = new_reducer[0]
+        if not any(lead):
             return Basis((constant(ctx, 1),), order, reduced=True)
-        G.append(monic(r, order))
-        lm.append(leading_monomial(r, order))
+        lc = r[lead]
+        G.append(_raw(ctx, {_mono(e): Fraction(c, lc) for e, c in r.items()}))
+        R.append(new_reducer)
+        lm.append(lead)
         new = len(G) - 1
         for k in range(new):
             pending.add((k, new))
-            heappush(queue, (lm[k].lcm(lm[new]).degree, k, new))
+            heappush(queue, (sum(map(max, lm[k], lead)), k, new))
     return reduce_basis(G, order)
 
 
@@ -197,19 +281,17 @@ def reduce_basis(G: Sequence[Polynomial], order: MonomialOrder) -> Basis:
     gens = [g for g in G if not g.is_zero()]
     if not gens:
         raise ZeroIdealError("zero ideal")
-    gens.sort(key=lambda g: order.key(leading_monomial(g, order)))
+    key = order.exponent_key
+    ranked = sorted(zip(_reducers(gens, order), gens), key=lambda rg: key(rg[0][0]))
     minimal: list[Polynomial] = []
-    min_lm: list[Monomial] = []
-    for g in gens:
-        m = leading_monomial(g, order)
-        if not any(h.divides(m) for h in min_lm):
+    reducers: list[tuple] = []
+    for r, g in ranked:
+        if not any(all(map(le, h[0], r[0])) for h in reducers):
             minimal.append(monic(g, order))
-            min_lm.append(m)
-    reduced = []
-    for k, g in enumerate(minimal):
-        others = minimal[:k] + minimal[k + 1:]
-        reduced.append(normal_form(g, others, order) if others else g)
-    reduced.sort(key=lambda g: order.key(leading_monomial(g, order)))
+            reducers.append(r)
+    # The leading monomials of a minimal basis are distinct and already ascending.
+    reduced = [_normal_form(g, reducers[:k] + reducers[k + 1:], key)
+               if len(minimal) > 1 else g for k, g in enumerate(minimal)]
     return Basis(tuple(reduced), order, reduced=True)
 
 

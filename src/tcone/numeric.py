@@ -20,9 +20,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .polyring import Polynomial, differentiate, total_degree, leading_form
+
+# numpy is imported inside the functions that use it, so that importing
+# this module for its report types and verdicts does not load numpy.
 
 ComplexPoint = tuple[complex, ...]
 # A polynomial compiled for repeated evaluation: one (coefficient,
@@ -246,6 +247,7 @@ def sample_far_directions(f: Polynomial, radius: float, trials: int,
     univariate restriction is solved and points of norm >= radius are
     normalized and kept.  Deterministic for a fixed seed.
     """
+    import numpy as np
     n = f.context.n
     if n < 2:
         raise ValueError("sampling needs at least two variables")
@@ -314,6 +316,7 @@ def far_sample_report(f: Polynomial, radius: float = 1e6, trials: int = 100,
 
 def _fit_decay_exponent(samples: Sequence[tuple[float, float | None]]) -> float | None:
     """Least-squares slope of log(value) against log(t) over positive values."""
+    import numpy as np
     pts = [(math.log(t), math.log(v)) for t, v in samples if v is not None and v > 0]
     if len(pts) < 2:
         return None
@@ -390,6 +393,7 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
 
 
 def _residual_vector(gens: Sequence[Compiled], point: np.ndarray) -> np.ndarray:
+    import numpy as np
     xs = [complex(x) for x in point]
     out = []
     for g in gens:
@@ -399,6 +403,7 @@ def _residual_vector(gens: Sequence[Compiled], point: np.ndarray) -> np.ndarray:
 
 
 def _real_jacobian(jac_polys: Sequence[Sequence[Compiled]], point: np.ndarray) -> np.ndarray:
+    import numpy as np
     xs = [complex(x) for x in point]
     rows = []
     for row in jac_polys:
@@ -424,6 +429,7 @@ def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
     ||x0 - z|| over converged runs, hence an upper bound on the true
     distance up to that residual tolerance.
     """
+    import numpy as np
     gens = [g for g in F if not g.is_zero()]
     if not gens:
         raise ValueError("generators must not all be zero")
@@ -484,6 +490,7 @@ def _tangential_polish(gens, jac_polys, x0, landed, converged_at,
     residual-certified landing, only nearer to x0.  Deterministic; a
     best-effort local improvement, not a certified nearest point.
     """
+    import numpy as np
     z = np.array(landed, dtype=complex)
     target = np.array(x0, dtype=complex)
     best = float(np.linalg.norm(z - target))
@@ -521,6 +528,7 @@ def _tangential_polish(gens, jac_polys, x0, landed, converged_at,
 
 
 def _levenberg_run(gens, jac_polys, start, converged_at, opts) -> ComplexPoint | None:
+    import numpy as np
     n = len(start)
     z = np.array(start, dtype=complex)
     if converged_at(tuple(z)):

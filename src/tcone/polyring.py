@@ -102,9 +102,6 @@ class Monomial:
     def lcm(self, other: "Monomial") -> "Monomial":
         return _mono(tuple(map(max, self.exponents, other.exponents)))
 
-    def is_coprime(self, other: "Monomial") -> bool:
-        return all(a == 0 or b == 0 for a, b in zip(self.exponents, other.exponents))
-
 
 _set_exponents = Monomial.exponents.__set__
 
@@ -120,6 +117,27 @@ def _mono(exps: tuple[int, ...]) -> Monomial:
     return m
 
 
+def _lex_key(e: tuple[int, ...]) -> tuple[int, ...]:
+    return e
+
+
+def _grlex_key(e: tuple[int, ...]) -> tuple[int, ...]:
+    return (sum(e),) + e
+
+
+def _grevlex_key(e: tuple[int, ...]) -> tuple[int, ...]:
+    return (sum(e),) + tuple(map(_neg, reversed(e)))
+
+
+def _elim1_key(e: tuple[int, ...]) -> tuple[int, ...]:
+    rest = e[1:]
+    return (e[0], sum(rest)) + tuple(map(_neg, reversed(rest)))
+
+
+_EXPONENT_KEYS = {"lex": _lex_key, "grlex": _grlex_key,
+                  "grevlex": _grevlex_key, "elim1": _elim1_key}
+
+
 @dataclass(frozen=True)
 class MonomialOrder:
     """A total, multiplicative order on monomials of one context.
@@ -131,19 +149,18 @@ class MonomialOrder:
 
     kind: str
 
+    @property
+    def exponent_key(self):
+        """The order's key on exponent tuples: a flat tuple of ints that
+        sorts like the monomial among monomials of its context."""
+        try:
+            return _EXPONENT_KEYS[self.kind]
+        except KeyError:
+            raise ValueError(f"unknown order kind {self.kind!r}") from None
+
     def key(self, m: Monomial) -> tuple[int, ...]:
-        """A flat tuple of ints that sorts like m among monomials of its context."""
-        e = m.exponents
-        if self.kind == "lex":
-            return e
-        if self.kind == "grlex":
-            return (sum(e),) + e
-        if self.kind == "grevlex":
-            return (sum(e),) + tuple(map(_neg, reversed(e)))
-        if self.kind == "elim1":
-            rest = e[1:]
-            return (e[0], sum(rest)) + tuple(map(_neg, reversed(rest)))
-        raise ValueError(f"unknown order kind {self.kind!r}")
+        """The exponent key of m."""
+        return self.exponent_key(m.exponents)
 
     @property
     def degree_compatible(self) -> bool:
@@ -161,12 +178,6 @@ GREVLEX = MonomialOrder("grevlex")
 ELIM_FIRST = MonomialOrder("elim1")
 
 ORDERS_BY_NAME = {"lex": LEX, "grlex": GRLEX, "grevlex": GREVLEX}
-
-
-def compare_monomials(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
-    if len(a.exponents) != len(b.exponents):
-        raise ContextMismatchError("monomials from different contexts")
-    return order.compare(a, b)
 
 
 class Polynomial:
@@ -357,14 +368,6 @@ def total_degree(f: Polynomial) -> int:
     if f.is_zero():
         raise ZeroPolynomialError("degree of the zero polynomial is undefined")
     return max(m.degree for m in f.terms)
-
-
-def homogeneous_components(f: Polynomial) -> dict[int, Polynomial]:
-    """Split f by total degree; values sum to f, keys are their degrees."""
-    buckets: dict[int, dict[Monomial, Fraction]] = {}
-    for m, c in f.terms.items():
-        buckets.setdefault(m.degree, {})[m] = c
-    return {d: _raw(f.context, t) for d, t in sorted(buckets.items())}
 
 
 def leading_form(f: Polynomial) -> Polynomial:

@@ -39,7 +39,7 @@ from .polyring import (
     variable,
 )
 
-if TYPE_CHECKING:  # numeric pulls in numpy, which gb, cone and member never need
+if TYPE_CHECKING:  # imported where needed: gb, cone and member never need numeric
     from .numeric import VerificationReport
 
 

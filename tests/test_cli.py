@@ -183,7 +183,10 @@ def test_exact_commands_do_not_import_numpy():
         f"for args in (['gb', {FIVELINES!r}], ['cone', {FIVELINES!r}],\n"
         f"             ['member', {FIVELINES!r}, '--point', '0,0,1']):\n"
         "    assert tcone.cli.main(args) == 0, args\n"
-        "    assert 'numpy' not in sys.modules, args\n")
+        "    assert 'numpy' not in sys.modules, args\n"
+        "    assert 'tcone.numeric' not in sys.modules, args\n"
+        "import tcone.numeric\n"
+        "assert 'numpy' not in sys.modules, 'import tcone.numeric'\n")
     src = str(Path(tcone.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,

@@ -2,6 +2,8 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from operator import neg
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from tcone.groebner import (
     s_polynomial,
 )
 from tcone.polyring import (
+    ELIM_FIRST,
     GREVLEX,
     ORDERS_BY_NAME,
     Monomial,
@@ -24,11 +27,13 @@ from tcone.polyring import (
     VariableContext,
     constant,
     leading_monomial,
+    leading_term,
     variables,
     zero,
 )
 from tcone.textio import render_polynomial
 
+from conftest import cyclic, katsura
 from test_polyring import random_poly
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -74,6 +79,83 @@ def test_normal_form_term_cancels_then_returns(xyz):
     ctx, x, y, z = xyz
     f = x**2 + x * y - z**2
     assert normal_form(f, [x**2 - z**2, x * y - z**2], GREVLEX) == z**2
+
+
+def rational_normal_form(f, divisors, order):
+    """Division on Fraction coefficients and Monomial keys, kept as an oracle.
+
+    The same loop as normal_form, without clearing denominators: the
+    workspace is drained largest term first, divisors are tried in list
+    order, and each reduction subtracts (c / gc) * q * g.
+    """
+    lts = [leading_term(g, order) for g in divisors]
+    p = dict(f.terms)
+    heap = [(tuple(map(neg, order.key(m))), m) for m in p]
+    heapify(heap)
+    remainder = {}
+    while heap:
+        m = heappop(heap)[1]
+        c = p.pop(m)
+        if not c:
+            continue
+        for g, (gm, gc) in zip(divisors, lts):
+            if gm.divides(m):
+                q = m.quotient(gm)
+                factor = c / gc
+                for tm, tc in g.terms.items():
+                    if tm is gm:
+                        continue
+                    t = tm.times(q)
+                    s = p.get(t)
+                    if s is None:
+                        p[t] = -factor * tc
+                        heappush(heap, (tuple(map(neg, order.key(t))), t))
+                    else:
+                        p[t] = s - factor * tc
+                break
+        else:
+            remainder[m] = c
+    return Polynomial(f.context, remainder)
+
+
+ORACLE_ORDERS = [ORDERS_BY_NAME["lex"], ORDERS_BY_NAME["grlex"], GREVLEX, ELIM_FIRST]
+
+
+def assert_same_remainder(f, divisors, order):
+    r = normal_form(f, divisors, order)
+    expected = rational_normal_form(f, divisors, order)
+    # the same terms in the same order: numeric evaluation sums in term order
+    assert list(r.terms.items()) == list(expected.terms.items()), (f, divisors, order)
+    return r
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS, ids=lambda o: o.kind)
+def test_normal_form_matches_rational_division(order):
+    rng = random.Random(2023)
+    for names in [("x", "y"), ("x", "y", "z")]:
+        ctx = VariableContext(names)
+        for _ in range(60):
+            divisors = [random_poly(ctx, rng, max_degree=3, max_terms=4)
+                        for _ in range(rng.randint(1, 4))]
+            divisors = [g for g in divisors if not g.is_zero()]
+            assert_same_remainder(random_poly(ctx, rng, max_degree=6, max_terms=8),
+                                  divisors, order)
+
+
+@pytest.mark.parametrize("order", ORACLE_ORDERS, ids=lambda o: o.kind)
+def test_normal_form_edge_cases_match_rational_division(xyz, order):
+    ctx, x, y, z = xyz
+    f = Fraction(2, 3) * x**3 * y - Fraction(5, 4) * y**2 * z**2 + 7 * x * z - Fraction(1, 9)
+    # leading coefficients that clear to integers other than 1, and negative ones
+    awkward = [Fraction(6, 5) * x**2 - Fraction(3, 7) * y * z + 2,
+               -Fraction(9, 4) * y**2 + Fraction(1, 6) * x * z,
+               -15 * z**2 + 10 * x - 3]
+    r = assert_same_remainder(f, awkward, order)
+    assert not r.is_zero()
+    assert assert_same_remainder(zero(ctx), awkward, order).is_zero()
+    assert assert_same_remainder(f, [], order) == f
+    multiple = (Fraction(3, 2) * x * y - z) * awkward[1]
+    assert assert_same_remainder(multiple, awkward[1:2], order).is_zero()
 
 
 # -- s-polynomials ---------------------------------------------------------
@@ -132,6 +214,27 @@ def test_buchberger_matches_golden_bases(standard_system, kind):
     golden = json.loads((GOLDEN / "buchberger_systems.json").read_text())
     basis = buchberger(F, ORDERS_BY_NAME[kind])
     assert [render_polynomial(g, basis.order) for g in basis] == golden[f"{name}/{kind}"]
+
+
+def seeded_intersection_pair(seed):
+    """Two ideals of two seeded nonconstant generators each in x, y, z."""
+    rng = random.Random(seed)
+    ctx = VariableContext(("x", "y", "z"))
+    polys = []
+    while len(polys) < 4:
+        f = random_poly(ctx, rng, max_degree=3, max_terms=3)
+        if not f.is_constant():
+            polys.append(f)
+    return polys[:2], polys[2:]
+
+
+def test_buchberger_matches_golden_large_bases():
+    golden = json.loads((GOLDEN / "buchberger_large.json").read_text())
+    for name, F in [("katsura4", katsura(4)), ("cyclic5", cyclic(5))]:
+        basis = buchberger(F, GREVLEX)
+        assert [render_polynomial(g, GREVLEX) for g in basis] == golden[f"{name}/grevlex"]
+    inter = ideal_intersect(*seeded_intersection_pair(6))
+    assert [render_polynomial(g, GREVLEX) for g in inter] == golden["intersect/seed6"]
 
 
 def test_buchberger_constant_generator(xy):

@@ -13,11 +13,9 @@ from tcone.polyring import (
     Polynomial,
     VariableContext,
     ZeroPolynomialError,
-    compare_monomials,
     constant,
     differentiate,
     evaluate_exact,
-    homogeneous_components,
     leading_form,
     leading_term,
     total_degree,
@@ -36,6 +34,12 @@ def random_poly(ctx, rng, max_degree=6, max_terms=6):
         m = Monomial(exps)
         terms[m] = terms.get(m, Fraction(0)) + coeff
     return Polynomial(ctx, terms)
+
+
+def by_degree(f):
+    """The homogeneous components of f, keyed by their degrees."""
+    return {d: Polynomial(f.context, {m: c for m, c in f.terms.items() if m.degree == d})
+            for d in sorted({m.degree for m in f.terms})}
 
 
 # -- construction and invariants ---------------------------------------
@@ -153,11 +157,11 @@ def test_total_degree(xyz):
 
 def test_homogeneous_components(xy):
     ctx, x, y = xy
-    comps = homogeneous_components(x**2 - y**3)
+    comps = by_degree(x**2 - y**3)
     assert set(comps) == {2, 3}
     assert comps[2] == x**2
     assert comps[3] == -(y**3)
-    assert homogeneous_components(zero(ctx)) == {}
+    assert by_degree(zero(ctx)) == {}
 
 
 def test_homogeneous_components_sum_and_purity():
@@ -165,7 +169,7 @@ def test_homogeneous_components_sum_and_purity():
     rng = random.Random(2024)
     for _ in range(100):
         f = random_poly(ctx, rng)
-        comps = homogeneous_components(f)
+        comps = by_degree(f)
         total = zero(ctx)
         for d, part in comps.items():
             assert part.is_homogeneous()
@@ -192,7 +196,7 @@ def test_leading_form_is_top_component():
         f = random_poly(ctx, rng)
         if f.is_zero():
             continue
-        assert leading_form(f) == homogeneous_components(f)[total_degree(f)]
+        assert leading_form(f) == by_degree(f)[total_degree(f)]
 
 
 # -- monomial orders ----------------------------------------------------
@@ -200,7 +204,7 @@ def test_leading_form_is_top_component():
 
 def test_compare_grevlex_spec_example():
     # x^3 z vs y^2 z under grevlex x>y>z
-    assert compare_monomials(Monomial((3, 0, 1)), Monomial((0, 2, 1)), GREVLEX) == 1
+    assert GREVLEX.compare(Monomial((3, 0, 1)), Monomial((0, 2, 1))) == 1
 
 
 def test_compare_grevlex_degree_tie():
@@ -209,22 +213,22 @@ def test_compare_grevlex_degree_tie():
     a = Monomial((3, 0, 1))  # x^3 z
     b = Monomial((0, 2, 2))  # y^2 z^2
     assert a.degree == b.degree == 4
-    assert compare_monomials(a, b, GREVLEX) == 1
-    assert compare_monomials(b, a, GREVLEX) == -1
-    assert compare_monomials(a, a, GREVLEX) == 0
+    assert GREVLEX.compare(a, b) == 1
+    assert GREVLEX.compare(b, a) == -1
+    assert GREVLEX.compare(a, a) == 0
 
 
 def test_compare_grevlex_basis_leading_monomials():
     # x^3 z vs y^3 z, both degree 4: x^3 z is larger under grevlex x>y>z
-    assert compare_monomials(Monomial((3, 0, 1)), Monomial((0, 3, 1)), GREVLEX) == 1
+    assert GREVLEX.compare(Monomial((3, 0, 1)), Monomial((0, 3, 1))) == 1
 
 
 def test_compare_lex():
-    assert compare_monomials(Monomial((1, 0)), Monomial((0, 3)), LEX) == 1
+    assert LEX.compare(Monomial((1, 0)), Monomial((0, 3))) == 1
 
 
 def test_compare_grlex():
-    assert compare_monomials(Monomial((0, 3)), Monomial((2, 0)), GRLEX) == 1
+    assert GRLEX.compare(Monomial((0, 3)), Monomial((2, 0))) == 1
 
 
 def all_monomials(n, max_degree):
