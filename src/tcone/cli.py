@@ -2,214 +2,240 @@
 
 Exit codes: 0 success or verdict pass, 1 usage or parse error, 2
 verification verdict fail, 3 inconclusive (solver non-convergence).
-Results go to stdout, diagnostics to stderr.
+Results go to stdout, diagnostics to stderr.  Every command takes
+``--help``; every error is one ``error: ...`` line on stderr.  The
+parser is the standard library's argparse, so a command loads only
+the tcone modules it uses.
 """
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING
-
-import click
 
 from . import textio
 from .cone import cone_membership, tangent_cone_at_infinity
-from .groebner import ZeroIdealError, buchberger
-from .polyring import ORDERS_BY_NAME, ContextMismatchError, ZeroPolynomialError
-from .textio import ParseError, parse_ideal, parse_point
+from .groebner import buchberger
+from .polyring import ORDERS_BY_NAME
+from .textio import parse_ideal, parse_point
 
 if TYPE_CHECKING:
     from .numeric import VerificationReport
 
-# Keyed by the verdict strings of tcone.numeric, which is imported only by
-# the verify commands: gb, cone and member never need it, and importing it
-# would lengthen their start.
+# Keyed by the verdict strings of tcone.numeric, which only the verify
+# commands import: gb, cone and member never need it, and importing it
+# (and numpy with it) would lengthen their start.
 _VERDICT_EXIT = {"pass": 0, "fail": 2, "inconclusive": 3}
 
-_order_option = click.option(
-    "--order", "order_name", default="grevlex",
-    type=click.Choice(sorted(ORDERS_BY_NAME)), show_default=True,
-    help="Monomial order.")
-_json_option = click.option(
-    "--json", "as_json", is_flag=True, help="Emit JSON instead of text.")
+# The long options that take no value.  Every other one takes the next token.
+_FLAGS = ("--json", "--help")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise in place of printing the usage and exiting with 2, so that
+        main reports one line and returns 1."""
+        raise ValueError(message)
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """argv with each option that takes a value joined to a value that
+    starts with '-': ``--point -1,0,0`` becomes ``--point=-1,0,0``.
+
+    argparse would read ``-1,0,0`` as an option.  Every tcone option is
+    long, so a token with a single leading '-' after one is its value.
+    """
+    out: list[str] = []
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            return out + argv[i:]
+        prev = out[-1] if out else ""
+        if (arg[:1] == "-" and arg[1:2] != "-" and prev[:2] == "--"
+                and "=" not in prev and prev not in _FLAGS):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _ideal_file(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path!r} is a directory")
+    return path
 
 
 def _load_ideal(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_ideal(text, source=path)
-
-
-def _schedule_options(fn):
-    fn = click.option("--steps", default=5, show_default=True, type=int)(fn)
-    fn = click.option("--factor", default=10.0, show_default=True, type=float)(fn)
-    fn = click.option("--t0", default=10.0, show_default=True, type=float)(fn)
-    return fn
+    with open(path, encoding="utf-8") as fh:
+        return parse_ideal(fh.read(), source=path)
 
 
 def _emit_report(report: VerificationReport, as_json: bool) -> int:
-    if as_json:
-        click.echo(textio.render_json(report))
-    else:
-        click.echo(textio.render_report_text(report))
-    click.echo(f"verdict: {report.verdict} ({report.diagnostics})", err=True)
+    print(textio.render_json(report) if as_json else textio.render_report_text(report))
+    print(f"verdict: {report.verdict} ({report.diagnostics})", file=sys.stderr)
     return _VERDICT_EXIT[report.verdict]
 
 
-@click.group()
-def cli():
-    """Tangent cones at infinity of affine complex varieties."""
-
-
-@cli.command()
-@click.argument("ideal_file", type=click.Path(exists=True, dir_okay=False))
-@_order_option
-@_json_option
-def gb(ideal_file, order_name, as_json):
+def gb(args) -> int:
     """Reduced Groebner basis of the ideal in IDEAL_FILE."""
-    ideal = _load_ideal(ideal_file)
-    basis = buchberger(ideal.polynomials, ORDERS_BY_NAME[order_name])
-    if as_json:
-        click.echo(textio.render_json(basis))
+    ideal = _load_ideal(args.ideal_file)
+    basis = buchberger(ideal.polynomials, ORDERS_BY_NAME[args.order])
+    if args.json:
+        print(textio.render_json(basis))
     else:
         for g in basis:
-            click.echo(textio.render_polynomial(g, basis.order))
+            print(textio.render_polynomial(g, basis.order))
+    return 0
 
 
-@cli.command()
-@click.argument("ideal_file", type=click.Path(exists=True, dir_okay=False))
-@_order_option
-@_json_option
-def cone(ideal_file, order_name, as_json):
+def cone(args) -> int:
     """Generators of the tangent cone at infinity of V(IDEAL_FILE)."""
-    ideal = _load_ideal(ideal_file)
-    result = tangent_cone_at_infinity(ideal.polynomials, ORDERS_BY_NAME[order_name])
-    if as_json:
-        click.echo(textio.render_json(result))
+    ideal = _load_ideal(args.ideal_file)
+    result = tangent_cone_at_infinity(ideal.polynomials, ORDERS_BY_NAME[args.order])
+    if args.json:
+        print(textio.render_json(result))
     else:
         for g in result.generators:
-            click.echo(textio.render_polynomial(g, result.generators.order))
+            print(textio.render_polynomial(g, result.generators.order))
+    return 0
 
 
-@cli.command()
-@click.argument("ideal_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--point", required=True, help="Exact rational point, e.g. '0,0,1'.")
-@_order_option
-@_json_option
-def member(ideal_file, point, order_name, as_json):
+def member(args) -> int:
     """Exact membership of a point in the tangent cone at infinity."""
-    ideal = _load_ideal(ideal_file)
-    parsed = parse_point(point, ideal.context)
+    ideal = _load_ideal(args.ideal_file)
+    parsed = parse_point(args.point, ideal.context)
     if parsed.rationals is None:
-        raise click.UsageError("member requires an exact rational point")
-    result = tangent_cone_at_infinity(ideal.polynomials, ORDERS_BY_NAME[order_name])
+        raise ValueError("member requires an exact rational point")
+    result = tangent_cone_at_infinity(ideal.polynomials, ORDERS_BY_NAME[args.order])
     inside = cone_membership(result, parsed.rationals)
-    if as_json:
-        click.echo(textio.dumps({
+    if args.json:
+        print(textio.dumps({
             "vars": list(ideal.context.names),
             "point": [str(x) for x in parsed.rationals],
             "member": inside,
         }))
     else:
-        click.echo("true" if inside else "false")
+        print("true" if inside else "false")
+    return 0
 
 
-@cli.group()
-def verify():
-    """Numeric cross-validation of the cone against its definition."""
-
-
-@verify.command("ratio")
-@click.argument("ideal_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--direction", required=True, help="Ray direction, e.g. '0,0,1'.")
-@_schedule_options
-@click.option("--pass-decay", default=0.5, show_default=True, type=float,
-              help="r(last)/r(first) bound for a pass.")
-@click.option("--plateau-tol", default=0.1, show_default=True, type=float,
-              help="Relative variation over the last three steps for a fail.")
-@_order_option
-@_json_option
-def verify_ratio(ideal_file, direction, t0, factor, steps, pass_decay,
-                 plateau_tol, order_name, as_json):
+def verify_ratio(args) -> int:
     """Degree-normalized generator decay along a ray."""
     from . import numeric
-    ideal = _load_ideal(ideal_file)
-    v = parse_point(direction, ideal.context).complexes
-    basis = buchberger(ideal.polynomials, ORDERS_BY_NAME[order_name])
-    sched = numeric.TSchedule(t0=t0, factor=factor, steps=steps)
+    ideal = _load_ideal(args.ideal_file)
+    v = parse_point(args.direction, ideal.context).complexes
+    basis = buchberger(ideal.polynomials, ORDERS_BY_NAME[args.order])
+    sched = numeric.TSchedule(args.t0, args.factor, args.steps)
     report = numeric.loj_ratio_schedule(basis.generators, v, sched,
-                                        pass_decay=pass_decay,
-                                        plateau_tol=plateau_tol)
-    return _emit_report(report, as_json)
+                                        pass_decay=args.pass_decay,
+                                        plateau_tol=args.plateau_tol)
+    return _emit_report(report, args.json)
 
 
-@verify.command("distance")
-@click.argument("ideal_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--direction", required=True, help="Ray direction, e.g. '0,0,1'.")
-@_schedule_options
-@click.option("--seed", default=42, show_default=True, type=int)
-@click.option("--residual-tol", default=1e-10, show_default=True, type=float,
-              help="Normalized residual below which a landing counts as on V.")
-@click.option("--pass-decay", default=0.5, show_default=True, type=float)
-@click.option("--plateau-tol", default=0.1, show_default=True, type=float)
-@_order_option
-@_json_option
-def verify_distance(ideal_file, direction, t0, factor, steps, seed, residual_tol,
-                    pass_decay, plateau_tol, order_name, as_json):
+def verify_distance(args) -> int:
     """Distance-ratio decay dist(t*v, V)/t along a ray."""
     from . import numeric
-    ideal = _load_ideal(ideal_file)
-    v = parse_point(direction, ideal.context).complexes
-    basis = buchberger(ideal.polynomials, ORDERS_BY_NAME[order_name])
-    sched = numeric.TSchedule(t0=t0, factor=factor, steps=steps)
-    opts = numeric.SolverOptions(seed=seed, residual_tol=residual_tol)
+    ideal = _load_ideal(args.ideal_file)
+    v = parse_point(args.direction, ideal.context).complexes
+    basis = buchberger(ideal.polynomials, ORDERS_BY_NAME[args.order])
+    sched = numeric.TSchedule(args.t0, args.factor, args.steps)
+    opts = numeric.SolverOptions(seed=args.seed, residual_tol=args.residual_tol)
     report = numeric.distance_ratio_report(basis.generators, v, sched, opts,
-                                   pass_decay=pass_decay, plateau_tol=plateau_tol)
-    return _emit_report(report, as_json)
+                                           pass_decay=args.pass_decay,
+                                           plateau_tol=args.plateau_tol)
+    return _emit_report(report, args.json)
 
 
-@verify.command("sample")
-@click.argument("ideal_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--radius", default=1e6, show_default=True, type=float)
-@click.option("--trials", default=100, show_default=True, type=int)
-@click.option("--seed", default=42, show_default=True, type=int)
-@click.option("--sample-tol", default=1e-2, show_default=True, type=float,
-              help="Top-form residual bound counted as consistent.")
-@click.option("--min-fraction", default=0.95, show_default=True, type=float,
-              help="Fraction of directions that must be consistent for a pass.")
-@_json_option
-def verify_sample(ideal_file, radius, trials, seed, sample_tol, min_fraction, as_json):
+def verify_sample(args) -> int:
     """Far-point direction sampling (single-generator ideals only)."""
     from . import numeric
-    ideal = _load_ideal(ideal_file)
+    ideal = _load_ideal(args.ideal_file)
     nonzero = [p for p in ideal.polynomials if not p.is_zero()]
     if len(nonzero) != 1:
-        raise click.UsageError(
+        raise ValueError(
             "verify sample handles hypersurfaces only: the ideal file must "
             "contain exactly one nonzero polynomial")
-    report = numeric.far_sample_report(nonzero[0], radius=radius, trials=trials,
-                                       seed=seed, residual_tol=sample_tol,
-                                       min_fraction=min_fraction)
-    return _emit_report(report, as_json)
+    report = numeric.far_sample_report(nonzero[0], radius=args.radius,
+                                       trials=args.trials, seed=args.seed,
+                                       residual_tol=args.sample_tol,
+                                       min_fraction=args.min_fraction)
+    return _emit_report(report, args.json)
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The command tree.  Each command's parser sets ``run`` to its function."""
+    def add(commands, name, doc):
+        parser = commands.add_parser(name, help=doc, description=doc,
+                                     add_help=False, allow_abbrev=False)
+        parser.add_argument("--help", action="help", help="Show this message and exit.")
+        return parser
+
+    def command(commands, name, run, order=True):
+        parser = add(commands, name, run.__doc__)
+        parser.add_argument("ideal_file", metavar="IDEAL_FILE", type=_ideal_file)
+        if order:
+            parser.add_argument("--order", default="grevlex", choices=sorted(ORDERS_BY_NAME),
+                                help="Monomial order. (default: %(default)s)")
+        parser.add_argument("--json", action="store_true", help="Emit JSON instead of text.")
+        parser.set_defaults(run=run)
+        return parser
+
+    def option(parser, name, type, default, help=""):
+        parser.add_argument(name, type=type, default=default,
+                            help=f"{help} (default: %(default)s)".lstrip())
+
+    def ray(parser):
+        parser.add_argument("--direction", required=True, help="Ray direction, e.g. '0,0,1'.")
+        option(parser, "--t0", float, 10.0)
+        option(parser, "--factor", float, 10.0)
+        option(parser, "--steps", int, 5)
+
+    top = _Parser(prog="tcone", add_help=False, allow_abbrev=False,
+                  description="Tangent cones at infinity of affine complex varieties.")
+    top.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = top.add_subparsers(metavar="COMMAND", required=True)
+    command(commands, "gb", gb)
+    command(commands, "cone", cone)
+    p = command(commands, "member", member)
+    p.add_argument("--point", required=True, help="Exact rational point, e.g. '0,0,1'.")
+
+    kinds = add(commands, "verify", "Numeric cross-validation of the cone against its "
+                "definition.").add_subparsers(metavar="COMMAND", required=True)
+    p = command(kinds, "ratio", verify_ratio)
+    ray(p)
+    option(p, "--pass-decay", float, 0.5, "r(last)/r(first) bound for a pass.")
+    option(p, "--plateau-tol", float, 0.1,
+           "Relative variation over the last three steps for a fail.")
+    p = command(kinds, "distance", verify_distance)
+    ray(p)
+    option(p, "--seed", int, 42)
+    option(p, "--residual-tol", float, 1e-10,
+           "Normalized residual below which a landing counts as on V.")
+    option(p, "--pass-decay", float, 0.5)
+    option(p, "--plateau-tol", float, 0.1)
+    p = command(kinds, "sample", verify_sample, order=False)
+    option(p, "--radius", float, 1e6)
+    option(p, "--trials", int, 100)
+    option(p, "--seed", int, 42)
+    option(p, "--sample-tol", float, 1e-2, "Top-form residual bound counted as consistent.")
+    option(p, "--min-fraction", float, 0.95,
+           "Fraction of directions that must be consistent for a pass.")
+    return top
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        rv = cli.main(args=argv, prog_name="tcone", standalone_mode=False)
-    except click.UsageError as err:
-        click.echo(f"error: {err.format_message()}", err=True)
+        args = _parser().parse_args(_attach_values(argv))
+        return args.run(args)
+    except SystemExit:  # --help printed the help text
+        return 0
+    except (ValueError, OSError) as err:  # usage and parse errors among them
+        print(f"error: {err}", file=sys.stderr)
         return 1
-    except click.ClickException as err:
-        click.echo(f"error: {err.format_message()}", err=True)
-        return 1
-    except click.Abort:
-        click.echo("aborted", err=True)
-        return 1
-    except (ParseError, ZeroIdealError, ZeroPolynomialError,
-            ContextMismatchError, ValueError, OSError) as err:
-        click.echo(f"error: {err}", err=True)
-        return 1
-    return rv if isinstance(rv, int) else 0
 
 
 if __name__ == "__main__":

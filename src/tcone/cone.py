@@ -11,7 +11,6 @@ I and of its radical have the same zero set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .groebner import Basis, buchberger, reduce_basis
@@ -28,18 +27,19 @@ from .polyring import (
 )
 
 
-@dataclass(frozen=True)
 class ConeDescription:
     """Homogeneous generators cutting out the tangent cone at infinity."""
 
-    generators: Basis
-    source_order: MonomialOrder
-    source_basis: Basis
+    __slots__ = ("generators", "source_order", "source_basis")
 
-    def __post_init__(self):
-        for g in self.generators:
+    def __init__(self, generators: Basis, source_order: MonomialOrder,
+                 source_basis: Basis):
+        for g in generators:
             if not g.is_homogeneous():
                 raise ValueError("cone generator is not homogeneous")
+        self.generators = generators
+        self.source_order = source_order
+        self.source_basis = source_basis
 
 
 def homogenize(f: Polynomial, fresh_var: str) -> Polynomial:

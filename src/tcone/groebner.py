@@ -20,7 +20,6 @@ identical to the rational one, term for term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -48,13 +47,26 @@ class ZeroIdealError(ValueError):
     """All supplied generators are zero."""
 
 
-@dataclass(frozen=True)
 class Basis:
-    """An ordered generating set under a fixed monomial order."""
+    """An ordered generating set under a fixed monomial order.
 
-    generators: tuple[Polynomial, ...]
-    order: MonomialOrder
-    reduced: bool = False
+    Immutable; equal and hashed by (generators, order, reduced).
+    """
+
+    def __init__(self, generators: tuple[Polynomial, ...], order: MonomialOrder,
+                 reduced: bool = False):
+        self.__dict__.update(generators=generators, order=order, reduced=reduced)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Basis is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, Basis) and (
+            (self.generators, self.order, self.reduced)
+            == (other.generators, other.order, other.reduced))
+
+    def __hash__(self):
+        return hash((self.generators, self.order, self.reduced))
 
     def __iter__(self):
         return iter(self.generators)

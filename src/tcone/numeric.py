@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .polyring import Polynomial, differentiate, total_degree, leading_form
 
@@ -40,44 +39,51 @@ class EvaluationOverflowError(ArithmeticError):
     """Polynomial evaluation left the double-precision range."""
 
 
-@dataclass(frozen=True)
 class TSchedule:
     """Geometric schedule t_k = t0 * factor**k, k = 0..steps-1."""
 
-    t0: float = 10.0
-    factor: float = 10.0
-    steps: int = 5
+    __slots__ = ("t0", "factor", "steps")
 
-    def __post_init__(self):
-        if not (self.t0 > 0 and self.factor > 1 and self.steps >= 1):
+    def __init__(self, t0: float = 10.0, factor: float = 10.0, steps: int = 5):
+        if not (t0 > 0 and factor > 1 and steps >= 1):
             raise ValueError("need t0 > 0, factor > 1, steps >= 1")
+        self.t0 = t0
+        self.factor = factor
+        self.steps = steps
 
     def values(self) -> list[float]:
         return [self.t0 * self.factor ** k for k in range(self.steps)]
 
 
-@dataclass(frozen=True)
 class VerificationReport:
     """Numeric evidence record for one ray or sampling experiment."""
 
-    kind: str  # "ratio" | "distance" | "sample"
-    samples: tuple[tuple[float, float | None], ...]
-    fitted_decay_exponent: float | None
-    verdict: str  # "pass" | "fail" | "inconclusive"
-    diagnostics: str
-    seed: int | None = None
-    schedule: TSchedule | None = None
-    direction: ComplexPoint | None = None
-    radius: float | None = None
-    trials: int | None = None
+    __slots__ = ("kind", "samples", "fitted_decay_exponent", "verdict", "diagnostics",
+                 "seed", "schedule", "direction", "radius", "trials")
 
-    def __post_init__(self):
-        if not self.samples:
+    def __init__(self, kind: str,  # "ratio" | "distance" | "sample"
+                 samples: tuple[tuple[float, float | None], ...],
+                 fitted_decay_exponent: float | None,
+                 verdict: str,  # "pass" | "fail" | "inconclusive"
+                 diagnostics: str, seed: int | None = None,
+                 schedule: TSchedule | None = None,
+                 direction: ComplexPoint | None = None,
+                 radius: float | None = None, trials: int | None = None):
+        if not samples:
             raise ValueError("a report needs at least one sample")
+        self.kind = kind
+        self.samples = samples
+        self.fitted_decay_exponent = fitted_decay_exponent
+        self.verdict = verdict
+        self.diagnostics = diagnostics
+        self.seed = seed
+        self.schedule = schedule
+        self.direction = direction
+        self.radius = radius
+        self.trials = trials
 
 
-@dataclass(frozen=True)
-class SolverOptions:
+class SolverOptions(NamedTuple):
     """Knobs for the damped least-squares distance estimator."""
 
     seed: int = 42
@@ -89,23 +95,20 @@ class SolverOptions:
     polish_cycles: int = 120
 
 
-@dataclass(frozen=True)
-class DistanceEstimate:
+class DistanceEstimate(NamedTuple):
     bound: float
     landed: ComplexPoint | None
     converged: bool
 
 
-@dataclass(frozen=True)
-class RootsResult:
+class RootsResult(NamedTuple):
     roots: tuple[complex, ...]
     residuals: tuple[float, ...]
     converged: bool
     sweeps: int
 
 
-@dataclass(frozen=True)
-class FarSamples:
+class FarSamples(NamedTuple):
     directions: tuple[ComplexPoint, ...]
     radius: float
     trials: int

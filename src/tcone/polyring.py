@@ -12,10 +12,9 @@ the first variable and falls back to grevlex on the rest.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add as _add, le as _le, neg as _neg, sub as _sub
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 # The coefficient field.  Fraction already guarantees lowest terms and a
 # positive denominator, which is exactly the canonical form we need.
@@ -32,24 +31,39 @@ class ZeroPolynomialError(ValueError):
     """Operation undefined for the zero polynomial (degree, leading data)."""
 
 
-@dataclass(frozen=True)
 class VariableContext:
-    """An ordered list of distinct variable names fixing the ambient ring."""
+    """An ordered list of distinct variable names fixing the ambient ring.
 
-    names: tuple[str, ...]
+    Immutable; equal and hashed by its names.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        if len(self.names) < 1:
+    __slots__ = ("names",)
+
+    def __init__(self, names: Iterable[str]):
+        names = tuple(names)
+        if len(names) < 1:
             raise ValueError("a context needs at least one variable")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate variable names: {self.names}")
-        for name in self.names:
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate variable names: {names}")
+        for name in names:
             # Underscore-initial names are reserved for internally generated
             # fresh variables; the ideal-file grammar only admits the
             # letter-initial subset.
             if not _IDENT_RE.match(name):
                 raise ValueError(f"invalid variable name: {name!r}")
+        object.__setattr__(self, "names", names)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VariableContext is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, VariableContext) and self.names == other.names
+
+    def __hash__(self):
+        return hash(self.names)
+
+    def __repr__(self):
+        return f"VariableContext({self.names})"
 
     @property
     def n(self) -> int:
@@ -138,8 +152,7 @@ _EXPONENT_KEYS = {"lex": _lex_key, "grlex": _grlex_key,
                   "grevlex": _grevlex_key, "elim1": _elim1_key}
 
 
-@dataclass(frozen=True)
-class MonomialOrder:
+class MonomialOrder(NamedTuple):
     """A total, multiplicative order on monomials of one context.
 
     ``kind`` is one of ``lex``, ``grlex``, ``grevlex`` or ``elim1``

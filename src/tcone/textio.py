@@ -22,11 +22,9 @@ deterministic so identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
-import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .groebner import Basis
 from .cone import ConeDescription
@@ -54,8 +52,7 @@ class ParseError(ValueError):
         super().__init__(f"{source}:{line}:{column}: {message}")
 
 
-@dataclass(frozen=True)
-class IdealFile:
+class IdealFile(NamedTuple):
     """A parsed ideal presentation: variables plus generator polynomials."""
 
     context: VariableContext
@@ -245,8 +242,7 @@ _POINT_ENTRY_RE = re.compile(
     rf"^\s*(?:(?P<re>[+-]?{_RAT})(?:(?P<im>[+-]{_RAT})i)?|(?P<imonly>[+-]?{_RAT})i)\s*$")
 
 
-@dataclass(frozen=True)
-class ParsedPoint:
+class ParsedPoint(NamedTuple):
     """A point with exact rational real/imaginary parts per coordinate."""
 
     entries: tuple[tuple[Fraction, Fraction], ...]
@@ -349,6 +345,7 @@ def format_complex(z: complex) -> str:
 
 def dumps(obj) -> str:
     """Deterministic compact JSON (insertion key order, repr floats)."""
+    import json  # only --json output needs it
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 

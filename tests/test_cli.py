@@ -164,9 +164,39 @@ def test_missing_file_exit_one(capsys):
     assert "does not exist" in err
 
 
-def test_unknown_subcommand_exit_one(capsys):
-    code, _, err = run(capsys, ["frobnicate"])
+USAGE_ERRORS = {
+    "no-command": [],
+    "no-verify-subcommand": ["verify"],
+    "unknown-command": ["frobnicate"],
+    "unknown-option": ["gb", FIVELINES, "--bogus"],
+    "missing-ideal-file": ["gb"],
+    "directory-as-ideal-file": ["gb", str(DATA)],
+    "missing-point": ["member", FIVELINES],
+    "bad-order": ["gb", FIVELINES, "--order", "bogus"],
+    "bad-float": ["verify", "ratio", FIVELINES, "--direction", "0,0,1", "--t0", "abc"],
+    "extra-argument": ["gb", FIVELINES, "extra"],
+}
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_is_one_line(capsys, args):
+    code, out, err = run(capsys, args)
     assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("args,expected", [
+    (["member", FIVELINES, "--point", "-1,0,0"], "true\n"),
+    (["member", FIVELINES, "--point", "-1/2,1,0"], "false\n"),
+    (["verify", "distance", CUSP, "--direction", "-2,0", "--steps", "3"],
+     "direction: -2,0\n"),
+], ids=["point", "fraction-point", "direction"])
+def test_option_value_may_start_with_minus(capsys, args, expected):
+    code, out, _ = run(capsys, args)
+    assert code == 0
+    assert expected in out
 
 
 def test_help_exit_zero(capsys):
@@ -175,18 +205,33 @@ def test_help_exit_zero(capsys):
     assert "verify" in out
 
 
+@pytest.mark.parametrize("args,options", [
+    (["gb", "--help"], ["IDEAL_FILE", "--order", "--json"]),
+    (["verify", "sample", "--help"],
+     ["IDEAL_FILE", "--radius", "--trials", "--seed", "--sample-tol",
+      "--min-fraction", "--json"]),
+], ids=["gb", "verify-sample"])
+def test_command_help_lists_options(capsys, args, options):
+    code, out, _ = run(capsys, args)
+    assert code == 0
+    for option in options:
+        assert option in out
+
+
 def test_exact_commands_do_not_import_numpy():
     script = (
         "import sys\n"
+        "def loaded(*names):\n"
+        "    return [m for m in names if m in sys.modules]\n"
         "import tcone.cli\n"
-        "assert 'numpy' not in sys.modules, 'import tcone.cli'\n"
+        "assert not (found := loaded('numpy', 'click', 'dataclasses')), found\n"
         f"for args in (['gb', {FIVELINES!r}], ['cone', {FIVELINES!r}],\n"
         f"             ['member', {FIVELINES!r}, '--point', '0,0,1']):\n"
         "    assert tcone.cli.main(args) == 0, args\n"
-        "    assert 'numpy' not in sys.modules, args\n"
-        "    assert 'tcone.numeric' not in sys.modules, args\n"
+        "    found = loaded('numpy', 'tcone.numeric', 'click', 'dataclasses', 'json')\n"
+        "    assert not found, (args, found)\n"
         "import tcone.numeric\n"
-        "assert 'numpy' not in sys.modules, 'import tcone.numeric'\n")
+        "assert not (found := loaded('numpy', 'dataclasses')), found\n")
     src = str(Path(tcone.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
