@@ -15,7 +15,6 @@ report is bit-reproducible.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Mapping, NamedTuple, Sequence
 
@@ -155,65 +154,120 @@ def evaluate_complex(f: Polynomial, point: Sequence[complex]) -> complex:
     return _evaluate(_compile(f), [complex(x) for x in point])
 
 
-def _horner(coeffs: Sequence[complex], z: complex) -> complex:
-    """Evaluate ascending-coefficient polynomial at z."""
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+# Most complex entries in one block of the pairwise differences z_i - z_j
+# of the batched root finder, so its workspace stays bounded at any degree.
+_PAIR_BLOCK = 1 << 14
+
+
+def _horner(a: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p(z) and p'(z) for each monic row of ``a`` (ascending) at each entry of z.
+
+    Only the nonzero coefficient columns are visited: a run of g zero
+    columns costs one power z**(g-1), not g multiplications.
+    """
+    import numpy as np
+
+    def advance(p, dp, gap):  # p*z**gap and its derivative, from p and dp
+        if gap == 1:
+            return p * z, dp * z + p
+        zg = z ** (gap - 1)
+        return p * zg * z, (dp * z + gap * p) * zg
+
+    n = a.shape[1] - 1
+    p, dp = 1.0, 0.0  # the monic leading term; arrays from the first advance on
+    prev = n
+    for c in np.flatnonzero(a[:, :n].any(axis=0))[::-1]:
+        p, dp = advance(p, dp, prev - c)
+        p += a[:, c, None]
+        prev = c
+    if prev:
+        p, dp = advance(p, dp, prev)
+    return p, dp
+
+
+def _pair_sums(z: np.ndarray) -> np.ndarray:
+    """S[r, i] = sum over j != i of 1 / (z[r, i] - z[r, j]), block by block."""
+    import numpy as np
+    rows, n = z.shape
+    out = np.empty_like(z)
+    width = max(1, min(n, _PAIR_BLOCK // n))  # roots i per block
+    height = max(1, min(rows, _PAIR_BLOCK // (width * n)))  # rows per block
+    work = np.empty(height * width * n, dtype=complex)  # reused: fresh arrays page-fault
+    for i in range(0, n, width):
+        mine = np.arange(i, min(i + width, n))
+        for r in range(0, rows, height):
+            block = z[r:r + height]
+            d = work[:len(block) * len(mine) * n].reshape(len(block), len(mine), n)
+            np.subtract(block[:, i:i + width, None], block[:, None, :], out=d)
+            d[:, mine - i, mine] = math.inf  # so the term j = i is 1/inf = 0
+            np.reciprocal(d, out=d)
+            d.sum(axis=2, out=out[r:r + height, i:i + width])
+    return out
+
+
+def _aberth(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of every monic row of ``a`` (ascending) together: (z, converged, sweeps).
+
+    Aberth-Ehrlich iteration (Aberth 1973) on all rows at once, each sweep
+    replacing every estimate z_i by z_i - p/(p' - p * sum_{j!=i} 1/(z_i - z_j)).
+    The n starts are equally spaced, at angle offset 0.4, on the circle of
+    radius rho = max_k |a_k|**(1/(n-k)) (1 when that is 0), the scale of
+    the roots: their moduli are at most 2*rho (Fujiwara's bound).  A row
+    is frozen once its largest correction drops below tol times its root
+    scale max(1, max |z_i|), after 500 sweeps, or, unconverged at its last
+    finite estimates, when a sweep would leave a root non-finite.
+    """
+    import numpy as np
+    rows, n = a.shape[0], a.shape[1] - 1
+    with np.errstate(all="ignore"):
+        radius = (np.abs(a[:, :n]) ** (1.0 / (n - np.arange(n)))).max(axis=1)
+        radius[radius == 0] = 1.0
+        z = radius[:, None] * np.exp(1j * (2 * math.pi / n * np.arange(n) + 0.4))
+        converged = np.zeros(rows, dtype=bool)
+        sweeps = np.zeros(rows, dtype=int)
+        live = np.arange(rows)
+        for _ in range(500):
+            if not live.size:
+                break
+            zl = z[live]
+            p, dp = _horner(a[live], zl)
+            step = p / (dp - p * _pair_sums(zl))
+            zl = zl - step
+            sweeps[live] += 1
+            finite = np.isfinite(zl).all(axis=1)
+            done = np.abs(step).max(axis=1) < tol * np.abs(zl).max(axis=1, initial=1.0)
+            z[live[finite]] = zl[finite]
+            converged[live[finite & done]] = True
+            live = live[finite & ~done]
+    return z, converged, sweeps
 
 
 def roots_univariate(coeffs: Sequence[complex], tol: float = 1e-12) -> RootsResult:
-    """All complex roots by simultaneous Weierstrass/Durand-Kerner iteration.
+    """All complex roots: the one-row call of the batched Aberth solver.
 
-    ``coeffs`` are ascending (coeffs[k] multiplies z**k).  Initial
-    guesses are powers of 0.4+0.9i scaled by Fujiwara's bound
-    2*max_k |a_k|**(1/(n-k)) on the root moduli of the monic polynomial
-    (1 when that is 0), so they start on the scale of the roots; sweeps
-    run until the largest correction drops below tol times the root
-    scale, or 500 sweeps.  A sweep that leaves a root non-finite ends
-    the iteration unconverged.  Roots are returned even without
-    convergence; per-root residuals let the caller judge them.
+    ``coeffs`` are ascending (coeffs[k] multiplies z**k); the polynomial
+    is made monic and handed to the solver that far sampling runs on all
+    trials of one degree at once (see ``_aberth`` for the starts and the
+    stopping rule).  A sweep that would leave a root non-finite ends the
+    iteration unconverged.  Roots are returned even without convergence;
+    the residuals |p(z_i)| of the monic polynomial let the caller judge
+    them.
     """
-    coeffs = [complex(c) for c in coeffs]
-    n = len(coeffs) - 1
+    import numpy as np
+    a = np.array([complex(c) for c in coeffs])
+    n = len(a) - 1
     if n < 1:
         raise ValueError("degree must be at least 1")
-    if not all(cmath.isfinite(c) for c in coeffs):
+    if not np.isfinite(a).all():
         raise ValueError("coefficients must be finite")
-    magnitudes = [abs(c) for c in coeffs]
-    if abs(coeffs[-1]) <= 1e-30 * max(magnitudes):
+    if abs(a[-1]) <= 1e-30 * np.abs(a).max():
         raise ValueError("degenerate leading coefficient")
-    lead = coeffs[-1]
-    a = [c / lead for c in coeffs]
-
-    radius = 2.0 * max(abs(c) ** (1.0 / (n - k)) for k, c in enumerate(a[:-1])) or 1.0
-    base = 0.4 + 0.9j
-    z = [radius * base ** (k + 1) for k in range(n)]
-
-    sweeps = 0
-    converged = False
-    for sweeps in range(1, 501):
-        max_correction = 0.0
-        for i in range(n):
-            denom = 1 + 0j
-            for j in range(n):
-                if j != i:
-                    denom *= z[i] - z[j]
-            if denom == 0:
-                z[i] *= 1 + 1e-9 + 1e-9j  # deterministic nudge off a collision
-                continue
-            w = _horner(a, z[i]) / denom
-            z[i] -= w
-            max_correction = max(max_correction, abs(w))
-        if not all(map(cmath.isfinite, z)):
-            break  # left double precision; max() above passes over a NaN
-        scale = max(1.0, max(abs(zi) for zi in z))
-        if max_correction < tol * scale:
-            converged = True
-            break
-    residuals = tuple(abs(_horner(a, zi)) for zi in z)
-    return RootsResult(tuple(z), residuals, converged, sweeps)
+    a = (a / a[-1])[None, :]
+    z, converged, sweeps = _aberth(a, tol)
+    with np.errstate(all="ignore"):
+        residuals = np.abs(_horner(a, z)[0][0])
+    return RootsResult(tuple(z[0].tolist()), tuple(residuals.tolist()),
+                       bool(converged[0]), int(sweeps[0]))
 
 
 def substitute_partial(f: Polynomial, fixed: Mapping[str, complex],
@@ -241,14 +295,12 @@ def _norm(point: Sequence[complex]) -> float:
     return math.sqrt(sum(abs(z) ** 2 for z in point))
 
 
-def sample_far_directions(f: Polynomial, radius: float, trials: int,
-                          seed: int) -> FarSamples:
-    """Unit directions of points on the hypersurface V(f) at norm >= radius.
+def _far_points(f: Polynomial, radius: float, trials: int,
+                seed: int) -> tuple[np.ndarray, int]:
+    """The retained far directions as rows of an array, and the skipped trials.
 
-    Per trial one coordinate is left free (round-robin) and the others
-    are fixed to radius times random unit complex scalars; the
-    univariate restriction is solved and points of norm >= radius are
-    normalized and kept.  Deterministic for a fixed seed.
+    See ``sample_far_directions``; the array keeps the order of trials,
+    then roots.
     """
     import numpy as np
     n = f.context.n
@@ -256,31 +308,90 @@ def sample_far_directions(f: Polynomial, radius: float, trials: int,
         raise ValueError("sampling needs at least two variables")
     if f.is_zero() or f.is_constant():
         raise ValueError("sampling needs a nonconstant polynomial")
-    names = f.context.names
-    directions: list[ComplexPoint] = []
-    skipped = 0
+    if not (radius > 0 and math.isfinite(radius)):
+        raise ValueError("the radius must be positive and finite")
+    # f compiled once in scaled form: term t contributes
+    # scaled[t] * exp(i * sum_k e_tk * theta_k) * w**e_tj
+    d = total_degree(f)
+    exps = np.array([m.exponents for m in f.terms])
+    try:
+        scaled = np.array([_coefficient(c) * radius ** (m.degree - d)
+                           for m, c in f.terms.items()])
+        in_range = np.isfinite(scaled).all()
+    except OverflowError:  # only when R < 1
+        in_range = False
+    if not in_range:
+        raise ValueError(f"coefficients scaled to radius {radius:g} leave double precision")
+
+    free = np.arange(trials) % n
+    theta = np.zeros((len(free), n))
     for trial in range(trials):
+        angles = np.random.default_rng([seed, trial]).uniform(0.0, 2.0 * math.pi, n - 1)
         j = trial % n
-        rng = np.random.default_rng([seed, trial])
-        fixed = {}
-        for k, name in enumerate(names):
-            if k != j:
-                theta = rng.uniform(0.0, 2.0 * math.pi)
-                fixed[name] = radius * complex(math.cos(theta), math.sin(theta))
-        coeffs = substitute_partial(f, fixed, names[j])
-        top = max(abs(c) for c in coeffs)
-        while coeffs and abs(coeffs[-1]) <= 1e-30 * top:
-            coeffs.pop()
-        if len(coeffs) < 2:
-            skipped += 1
+        theta[trial, :j], theta[trial, j + 1:] = angles[:j], angles[j:]
+    phase = sum(theta[:, k, None] * exps[:, k] for k in range(n))  # in a fixed order
+    terms = scaled * np.exp(1j * phase)  # (trials, terms)
+    coeffs = np.zeros((len(free), d + 1), dtype=complex)
+    rows = np.arange(len(free))
+    for t in range(len(scaled)):
+        coeffs[rows, exps[t, free]] += terms[:, t]
+
+    # Leading coefficients below 1e-30 of the largest are dropped; a trial
+    # whose restriction is then constant is skipped.
+    by_degree = {}
+    for trial, row in enumerate(np.abs(coeffs).tolist()):
+        floor = 1e-30 * max(row)
+        m = next((k for k in range(d, 0, -1) if row[k] > floor), 0)
+        by_degree.setdefault(m, []).append(trial)
+    units = np.exp(1j * theta)
+    by_trial = {}
+    for m, group in by_degree.items():
+        if m == 0:
             continue
-        result = roots_univariate(coeffs, tol=1e-12)
-        for root in result.roots:
-            point = tuple(root if k == j else fixed[names[k]] for k in range(n))
-            norm = _norm(point)
-            if norm >= radius:
-                directions.append(tuple(z / norm for z in point))
-    return FarSamples(tuple(directions), radius, trials, skipped, seed)
+        at = np.array(group)
+        w, _, _ = _aberth(coeffs[at, :m + 1] / coeffs[at, m, None], 1e-12)
+        points = np.repeat(units[at, None, :], m, axis=1)
+        points[np.arange(len(at))[:, None], np.arange(m), free[at, None]] = w
+        # ||z|| >= R in scaled form: |u_k| = 1 makes it hold for every
+        # finite root, and a NaN fails it.
+        norms = np.sqrt(n - 1 + np.abs(w) ** 2)
+        for k, trial in enumerate(group):
+            keep = norms[k] >= 1.0
+            by_trial[trial] = points[k, keep] / norms[k, keep, None]
+    ordered = [by_trial[t] for t in sorted(by_trial)]  # trials, then roots
+    directions = np.concatenate(ordered) if ordered else np.zeros((0, n), dtype=complex)
+    return directions, len(by_degree.get(0, ()))
+
+
+def sample_far_directions(f: Polynomial, radius: float, trials: int,
+                          seed: int) -> FarSamples:
+    """Unit directions of points on the hypersurface V(f) at norm >= radius.
+
+    Per trial one coordinate z_j is left free (round-robin) and the
+    others are fixed to R*u_k, with u_k random unit complex scalars.
+    The restriction is solved in the scaled variable w = z_j/R: divided
+    by R**deg f, a term c*z**e becomes c*R**(|e| - deg f)*prod u_k**e_k
+    * w**e_j.  For R >= 1 no coefficient grows, and the top-degree
+    terms, which decide the far directions, keep their size.  All
+    trials of one degree are solved together by the batched Aberth
+    solver; points with ||(u, w)|| >= 1 (the rule ||z|| >= R) are
+    normalized and kept, in the order of trials, then roots.
+    Deterministic for a fixed seed.
+    """
+    directions, skipped = _far_points(f, radius, trials, seed)
+    return FarSamples(tuple(map(tuple, directions.tolist())), radius, trials, skipped, seed)
+
+
+def _evaluate_rows(compiled: Compiled, points: np.ndarray) -> np.ndarray:
+    """A compiled polynomial at every row of ``points``, term by term."""
+    import numpy as np
+    total = np.zeros(len(points), dtype=complex)
+    for coeff, powers in compiled:
+        v = np.full(len(points), coeff)
+        for i, e in powers:
+            v *= points[:, i] ** e
+        total += v
+    return total
 
 
 def far_sample_report(f: Polynomial, radius: float = 1e6, trials: int = 100,
@@ -291,30 +402,24 @@ def far_sample_report(f: Polynomial, radius: float = 1e6, trials: int = 100,
     Passes when at least ``min_fraction`` of the retained directions
     give a top-form residual below ``residual_tol``.
     """
-    samples_obj = sample_far_directions(f, radius, trials, seed)
-    form = _compile(leading_form(f))
-    measured: list[tuple[float, float | None]] = []
-    good = 0
-    for u in samples_obj.directions:
-        residual = abs(_evaluate(form, u))
-        measured.append((radius, residual))
-        if residual < residual_tol:
-            good += 1
-    if not measured:
+    directions, skipped = _far_points(f, radius, trials, seed)
+    residuals = abs(_evaluate_rows(_compile(leading_form(f)), directions))
+    if not len(residuals):
         return VerificationReport(
             kind="sample", samples=((radius, None),), fitted_decay_exponent=None,
             verdict=INCONCLUSIVE,
-            diagnostics=f"no directions retained ({samples_obj.skipped} trials skipped)",
+            diagnostics=f"no directions retained ({skipped} trials skipped)",
             seed=seed, radius=radius, trials=trials)
-    fraction = good / len(measured)
+    good = int((residuals < residual_tol).sum())
+    fraction = good / len(residuals)
     verdict = PASS if fraction >= min_fraction else FAIL
-    diagnostics = (f"{good}/{len(measured)} directions below residual "
+    diagnostics = (f"{good}/{len(residuals)} directions below residual "
                    f"{residual_tol:g} (fraction {fraction:.4f}, need {min_fraction:g}); "
-                   f"{samples_obj.skipped} trials skipped")
+                   f"{skipped} trials skipped")
     return VerificationReport(
-        kind="sample", samples=tuple(measured), fitted_decay_exponent=None,
-        verdict=verdict, diagnostics=diagnostics, seed=seed,
-        radius=radius, trials=trials)
+        kind="sample", samples=tuple((radius, r) for r in residuals.tolist()),
+        fitted_decay_exponent=None, verdict=verdict, diagnostics=diagnostics,
+        seed=seed, radius=radius, trials=trials)
 
 
 def _fit_decay_exponent(samples: Sequence[tuple[float, float | None]]) -> float | None:
@@ -395,14 +500,27 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
 # -- distance estimation ------------------------------------------------
 
 
-def _residual_vector(gens: Sequence[Compiled], point: np.ndarray) -> np.ndarray:
+def _residual_at(gens: Sequence[Compiled], degrees: Sequence[int], tol: float,
+                 point: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The real residual vector of the generators at point, and whether it lands.
+
+    One evaluation of each generator serves both.  The point lands on V
+    when every normalized residual |g_i| / max(1, ||point||)**deg(g_i)
+    is below ``tol``.  Raises EvaluationOverflowError when an evaluation,
+    or the power of the scale in that test, leaves double precision.
+    """
     import numpy as np
     xs = [complex(x) for x in point]
+    values = [_evaluate(g, xs) for g in gens]
+    scale = max(1.0, _norm(point))
+    try:
+        lands = all(abs(v) / scale ** d < tol for v, d in zip(values, degrees))
+    except OverflowError as err:
+        raise EvaluationOverflowError("normalization overflowed double precision") from err
     out = []
-    for g in gens:
-        val = _evaluate(g, xs)
-        out += (val.real, val.imag)
-    return np.array(out)
+    for v in values:
+        out += (v.real, v.imag)
+    return np.array(out), lands
 
 
 def _real_jacobian(jac_polys: Sequence[Sequence[Compiled]], point: np.ndarray) -> np.ndarray:
@@ -444,11 +562,8 @@ def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
     jac_polys = [[_compile(differentiate(g, j)) for j in range(n)] for g in gens]
     gens = [_compile(g) for g in gens]
 
-    def converged_at(z: Sequence[complex]) -> bool:
-        scale = max(1.0, _norm(z))
-        xs = [complex(x) for x in z]
-        return all(abs(_evaluate(g, xs)) / scale ** d < opts.residual_tol
-                   for g, d in zip(gens, degrees))
+    def residual_at(z: np.ndarray) -> tuple[np.ndarray, bool]:
+        return _residual_at(gens, degrees, opts.residual_tol, z)
 
     starts = [x0]
     base_norm = _norm(x0)
@@ -465,12 +580,14 @@ def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
     best_bound = math.inf
     best_landed: ComplexPoint | None = None
     any_converged = False
+    eye = np.eye(2 * n)
     for start in starts:
-        landed = _levenberg_run(gens, jac_polys, start, converged_at, opts)
-        if landed is None:
-            continue
-        any_converged = True
-        landed = _tangential_polish(gens, jac_polys, x0, landed, converged_at, opts)
+        with np.errstate(all="ignore"):  # far out, J.T @ J may overflow: no warning
+            landed = _levenberg_run(residual_at, jac_polys, start, opts, eye)
+            if landed is None:
+                continue
+            any_converged = True
+            landed = _tangential_polish(residual_at, jac_polys, x0, landed, opts, eye)
         bound = _dist(x0, landed)
         if bound < best_bound:
             best_bound = bound
@@ -483,8 +600,7 @@ def _dist(a: Sequence[complex], b: Sequence[complex]) -> float:
     return math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(a, b)))
 
 
-def _tangential_polish(gens, jac_polys, x0, landed, converged_at,
-                       opts) -> ComplexPoint:
+def _tangential_polish(residual_at, jac_polys, x0, landed, opts, eye) -> ComplexPoint:
     """Slide a landed point along the variety toward x0.
 
     Alternates a step toward x0 projected onto the tangent space of the
@@ -515,8 +631,7 @@ def _tangential_polish(gens, jac_polys, x0, landed, converged_at,
         improved = False
         while alpha > 1e-4:
             trial = z + alpha * step
-            reprojected = _levenberg_run(gens, jac_polys, tuple(trial),
-                                         converged_at, opts)
+            reprojected = _levenberg_run(residual_at, jac_polys, tuple(trial), opts, eye)
             if reprojected is not None:
                 dist = _dist(x0, reprojected)
                 if dist < best * (1 - 1e-12):
@@ -530,19 +645,17 @@ def _tangential_polish(gens, jac_polys, x0, landed, converged_at,
     return tuple(z)
 
 
-def _levenberg_run(gens, jac_polys, start, converged_at, opts) -> ComplexPoint | None:
+def _levenberg_run(residual_at, jac_polys, start, opts, eye) -> ComplexPoint | None:
     import numpy as np
-    n = len(start)
     z = np.array(start, dtype=complex)
-    if converged_at(tuple(z)):
-        return tuple(z)
-    damping = opts.initial_damping
     try:
-        res = _residual_vector(gens, z)
+        res, lands = residual_at(z)
     except EvaluationOverflowError:
         return None
+    if lands:
+        return tuple(z)
+    damping = opts.initial_damping
     cost = float(res @ res)
-    eye = np.eye(2 * n)
     for _ in range(opts.max_iterations):
         J = _real_jacobian(jac_polys, z)
         A = J.T @ J
@@ -557,23 +670,23 @@ def _levenberg_run(gens, jac_polys, start, converged_at, opts) -> ComplexPoint |
             step = delta[0::2] + 1j * delta[1::2]
             candidate = z + step
             try:
-                cand_res = _residual_vector(gens, candidate)
+                cand_res, cand_lands = residual_at(candidate)
             except EvaluationOverflowError:
                 damping *= 10
                 continue
             cand_cost = float(cand_res @ cand_res)
             if cand_cost < cost:
-                z, res, cost = candidate, cand_res, cand_cost
+                z, res, cost, lands = candidate, cand_res, cand_cost, cand_lands
                 damping = max(damping / 10, 1e-15)
                 accepted = True
                 break
             damping *= 10
         if not accepted:
             return None
-        if converged_at(tuple(z)):
+        if lands:
             return tuple(z)
         if np.linalg.norm(step) < 1e-16 * (1.0 + np.linalg.norm(z)):
-            return tuple(z) if converged_at(tuple(z)) else None
+            return None
     return None
 
 

@@ -24,6 +24,12 @@ def run(capsys, args):
     return code, captured.out, captured.err
 
 
+def ideal_file(tmp_path, text):
+    path = tmp_path / "input.ideal"
+    path.write_text(text)
+    return str(path)
+
+
 # -- gb ------------------------------------------------------------------
 
 
@@ -134,6 +140,17 @@ def test_verify_distance_inconclusive_exit_three(capsys):
     assert "verdict: inconclusive" in out
 
 
+def test_verify_distance_overflow_is_inconclusive(capsys, tmp_path):
+    # Far out, the power max(1, ||z||)**70 in the convergence test leaves
+    # double precision; the run must end unconverged, not in an OverflowError.
+    path = ideal_file(tmp_path, "vars x y\npoly x^70 - y\n")
+    code, out, err = run(capsys, ["verify", "distance", path, "--direction", "1,0"])
+    assert code == 3
+    assert out.splitlines()[-1] == "verdict: inconclusive"
+    assert len(err.splitlines()) == 1
+    assert err.startswith("verdict: inconclusive (solver did not converge at t = ")
+
+
 # -- verify sample ----------------------------------------------------------------
 
 
@@ -141,6 +158,25 @@ def test_verify_sample_pass(capsys):
     code, out, _ = run(capsys, ["verify", "sample", CUSP, "--trials", "40"])
     assert code == 0
     assert "verdict: pass" in out
+
+
+def test_verify_sample_degree_60_curve(capsys, tmp_path):
+    # Substituted unscaled at R = 1e6, x^60 overflowed double precision.
+    path = ideal_file(tmp_path, "vars x y\npoly x^60 - y^59 + 1\n")
+    code, out, err = run(capsys, ["verify", "sample", path])
+    assert code == 0
+    assert out.splitlines()[-1] == "verdict: pass"
+    assert err.splitlines() == [
+        "verdict: pass (5950/5950 directions below residual 0.01 "
+        "(fraction 1.0000, need 0.95); 0 trials skipped)"]
+
+
+def test_verify_sample_degree_400_ends_with_a_verdict(capsys, tmp_path):
+    # 400 roots per trial: the solver's workspace stays bounded in blocks.
+    path = ideal_file(tmp_path, "vars x y\npoly x^400 - y + 1\n")
+    code, _, err = run(capsys, ["verify", "sample", path, "--trials", "2"])
+    assert code in (0, 2, 3)
+    assert len(err.splitlines()) == 1 and err.startswith("verdict: ")
 
 
 def test_verify_sample_refuses_multiple_generators(capsys):

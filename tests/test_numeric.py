@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tcone import numeric
 from tcone.groebner import buchberger
 from tcone.numeric import (
     EvaluationOverflowError,
@@ -164,11 +165,13 @@ def test_roots_reject_non_finite_coefficients():
 
 
 def test_roots_non_finite_correction_is_not_converged():
-    # The start z ~ 1e30 overflows z**11, so the first correction is
-    # non-finite; the iteration must stop there, unconverged.
+    # The start |z| = 5e29 overflows z**11, so the first correction is
+    # non-finite; the iteration must stop there, unconverged, at the
+    # last finite estimates.
     result = roots_univariate([1] + [0] * 9 + [5e29, 1])
     assert not result.converged
     assert result.sweeps == 1
+    assert all(cmath.isfinite(z) for z in result.roots)
 
 
 def test_roots_degree_60_converge_to_finite_roots():
@@ -183,7 +186,8 @@ def test_roots_degree_60_converge_to_finite_roots():
 
 def test_roots_start_on_the_scale_of_the_roots():
     # Roots of modulus ~1e3: a start at the Cauchy radius 1 + max|a_k|
-    # (~1e24 here) took about 280 sweeps; the Fujiwara radius needs few.
+    # (~1e24 here) took about 280 sweeps; a start on the scale
+    # max_k |a_k|**(1/(n-k)) of the roots needs few.
     rng = random.Random(8)
     scale = 1e3
     roots = [scale * cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(0, 2 * math.pi))
@@ -225,6 +229,40 @@ def test_roots_random_recovery():
                  for _ in range(degree)]
         result = roots_univariate(poly_from_roots(roots))
         assert_multiset_close(result.roots, roots, 1e-8)
+
+
+def test_roots_batched_rows_match_one_row_calls():
+    # The batched solver freezes each row on its own.  Rows that share
+    # their nonzero columns run the one-row call's arithmetic exactly;
+    # sparse rows in a dense batch visit zero columns, so agree closely.
+    import numpy as np
+    rng = random.Random(5)
+    dense = [poly_from_roots([complex(rng.uniform(-10, 10), rng.uniform(-10, 10))
+                              for _ in range(6)]) for _ in range(12)]
+    sparse = [[1, 0, 0, 0, 0, 0, 1],  # z**6 = -1
+              [0, 0, 0, 0, 0, 0, 1]]  # a sixfold root at 0: 80 sweeps alone
+    rows = dense + sparse
+    z, converged, sweeps = numeric._aberth(np.array(rows, dtype=complex), 1e-12)
+    assert converged.all()
+    for k, coeffs in enumerate(rows):
+        single = roots_univariate(coeffs)
+        if k < len(dense):
+            assert tuple(z[k].tolist()) == single.roots
+            assert sweeps[k] == single.sweeps
+        else:
+            assert_multiset_close(z[k], single.roots, 1e-9)
+
+
+def test_pair_sums_in_blocks(monkeypatch):
+    # A block bound smaller than one row splits rows and roots alike.
+    import numpy as np
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
+    direct = np.array([[sum(1 / (row[i] - row[j]) for j in range(9) if j != i)
+                        for i in range(9)] for row in z])
+    for block in (1, 7, 20, 81, 1 << 16):
+        monkeypatch.setattr(numeric, "_PAIR_BLOCK", block)
+        assert np.allclose(numeric._pair_sums(z), direct, rtol=1e-13, atol=0)
 
 
 # -- substitution -----------------------------------------------------------
@@ -343,6 +381,44 @@ def test_sampling_rejects_bad_inputs(xy):
     u, = variables(ctx1)
     with pytest.raises(ValueError):
         sample_far_directions(u, 1e6, 5, seed=0)
+
+
+def test_sampling_rejects_bad_radius(xy):
+    ctx, x, y = xy
+    for radius in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sample_far_directions(x**2 - y**3, radius, 5, seed=0)
+    # scaled by R**-60, the constant term becomes 1e600 at R = 1e-10
+    with pytest.raises(ValueError):
+        sample_far_directions(x**60 - y**59 + 1, 1e-10, 5, seed=0)
+
+
+def test_sample_report_degree_8_surface_far_out(xyz):
+    # Substituted unscaled, this surface lost its roots: 75 of 210
+    # directions passed at 1e6, and 403 of 436 at 1e4.  Scaled, every
+    # root of every trial is kept: 34 trials of degree 7 in x, 33 of
+    # degree 8 in y and 33 of degree 5 in z.
+    ctx, x, y, z = xyz
+    f = x**7 * y - z**5 * x**3 + y**8 - 3 * x * y * z + 1
+    for radius in (1e6, 1e4):
+        report = far_sample_report(f, radius=radius)
+        assert report.verdict == "pass", (radius, report.diagnostics)
+        assert report.diagnostics.startswith("667/667 ")
+
+
+def test_sample_report_dense_degree_7_surface(xyz):
+    # Every monomial of degree 7, 1 and 0 with a seeded nonzero coefficient.
+    ctx, x, y, z = xyz
+    rng = random.Random(7)
+    f = x - x
+    for d in (7, 1, 0):
+        for i in range(d + 1):
+            for j in range(d - i + 1):
+                f = f + rng.choice([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]) * (
+                    x**i * y**j * z**(d - i - j))
+    report = far_sample_report(f, radius=1e6)
+    assert report.verdict == "pass", report.diagnostics
+    assert report.diagnostics.startswith("700/700 ")
 
 
 # -- ratio schedules -------------------------------------------------------------
