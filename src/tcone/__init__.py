@@ -4,7 +4,6 @@ from .polyring import (
     GREVLEX,
     GRLEX,
     LEX,
-    Monomial,
     MonomialOrder,
     Polynomial,
     VariableContext,
@@ -18,7 +17,6 @@ __all__ = [
     "GREVLEX",
     "GRLEX",
     "LEX",
-    "Monomial",
     "MonomialOrder",
     "Polynomial",
     "VariableContext",

@@ -2,9 +2,10 @@
 
 The pipeline: compute a reduced Groebner basis of the input ideal under
 a degree-compatible order, take the top-degree form of each basis
-element (equivalently: homogenize it and restrict to the hyperplane at
-infinity) and canonicalize the resulting homogeneous generators.  The
-zero set of the result is the cone, radical input or not: the
+element and canonicalize the resulting homogeneous generators.  The
+top-degree form of g is what homogenizing g with a new variable and
+then setting that variable to 0 leaves; the tests pin this identity.
+The zero set of the result is the cone, radical input or not: the
 top-degree form of f^k is the k-th power of that of f, so the forms of
 I and of its radical have the same zero set.
 """
@@ -14,17 +15,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .groebner import Basis, buchberger, reduce_basis
-from .polyring import (
-    Monomial,
-    MonomialOrder,
-    Polynomial,
-    VariableContext,
-    ZeroPolynomialError,
-    _raw,
-    evaluate_exact,
-    leading_form,
-    total_degree,
-)
+from .polyring import MonomialOrder, Polynomial, evaluate_exact, leading_form
 
 
 class ConeDescription:
@@ -40,30 +31,6 @@ class ConeDescription:
         self.generators = generators
         self.source_order = source_order
         self.source_basis = source_basis
-
-
-def homogenize(f: Polynomial, fresh_var: str) -> Polynomial:
-    """f made homogeneous of degree deg(f) by a new trailing variable.
-
-    Setting the new variable to 1 recovers f.
-    """
-    if f.is_zero():
-        raise ZeroPolynomialError("cannot homogenize the zero polynomial")
-    if fresh_var in f.context.names:
-        raise ValueError(f"variable {fresh_var!r} already present")
-    d = total_degree(f)
-    ectx = VariableContext(f.context.names + (fresh_var,))
-    return _raw(ectx, {Monomial(m.exponents + (d - m.degree,)): c
-                       for m, c in f.terms.items()})
-
-
-def restrict_infinity(g: Polynomial, var: str) -> Polynomial:
-    """Substitute 0 for ``var`` and drop it from the context."""
-    i = g.context.index(var)
-    names = g.context.names[:i] + g.context.names[i + 1:]
-    ctx = VariableContext(names)
-    return _raw(ctx, {Monomial(m.exponents[:i] + m.exponents[i + 1:]): c
-                      for m, c in g.terms.items() if m.exponents[i] == 0})
 
 
 def tangent_cone_at_infinity(F: Sequence[Polynomial], order: MonomialOrder) -> ConeDescription:

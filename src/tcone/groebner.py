@@ -29,7 +29,6 @@ from typing import Sequence
 
 from .polyring import (
     ContextMismatchError,
-    Monomial,
     MonomialOrder,
     Polynomial,
     VariableContext,
@@ -38,7 +37,6 @@ from .polyring import (
     leading_term,
     monic,
     variable,
-    _mono,
     _raw,
 )
 
@@ -118,7 +116,7 @@ def normal_form(f: Polynomial, divisors, order: MonomialOrder | None = None) -> 
 def _integer_terms(f: Polynomial) -> tuple[dict[tuple[int, ...], int], int]:
     """(d*f as exponents -> int, d) for d > 0 the least common denominator."""
     d = lcm(*(c.denominator for c in f.terms.values()))
-    return {m.exponents: c.numerator * (d // c.denominator) for m, c in f.terms.items()}, d
+    return {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()}, d
 
 
 def _reducer(p: dict[tuple[int, ...], int], key) -> tuple:
@@ -185,7 +183,7 @@ def _normal_form(f: Polynomial, reducers, key) -> Polynomial:
     p, d = _integer_terms(f)
     remainder, scale = _reduce(p, reducers, key)
     d *= scale
-    return _raw(f.context, {_mono(e): Fraction(c, d) for e, c in remainder.items()})
+    return _raw(f.context, {e: Fraction(c, d) for e, c in remainder.items()})
 
 
 def _s_polynomial(a, b) -> dict[tuple[int, ...], int]:
@@ -213,13 +211,9 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
         raise ZeroIdealError("s-polynomial of a zero polynomial")
     fm, fc = leading_term(f, order)
     gm, gc = leading_term(g, order)
-    l = fm.lcm(gm)
-    return f * _mono_poly(f.context, l.quotient(fm), 1 / fc) \
-        - g * _mono_poly(g.context, l.quotient(gm), 1 / gc)
-
-
-def _mono_poly(ctx: VariableContext, m: Monomial, c: Fraction) -> Polynomial:
-    return _raw(ctx, {m: Fraction(c)})
+    l = tuple(map(max, fm, gm))
+    return f * _raw(f.context, {tuple(map(sub, l, fm)): 1 / fc}) \
+        - g * _raw(g.context, {tuple(map(sub, l, gm)): 1 / gc})
 
 
 def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
@@ -273,7 +267,7 @@ def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
         if not any(lead):
             return Basis((constant(ctx, 1),), order, reduced=True)
         lc = r[lead]
-        G.append(_raw(ctx, {_mono(e): Fraction(c, lc) for e, c in r.items()}))
+        G.append(_raw(ctx, {e: Fraction(c, lc) for e, c in r.items()}))
         R.append(new_reducer)
         lm.append(lead)
         new = len(G) - 1
@@ -341,7 +335,7 @@ def ideal_intersect(F: Sequence[Polynomial], G: Sequence[Polynomial]) -> list[Po
     ectx = VariableContext((w_name,) + ctx.names)
 
     def lift(p: Polynomial) -> Polynomial:
-        return _raw(ectx, {Monomial((0,) + m.exponents): c for m, c in p.terms.items()})
+        return _raw(ectx, {(0,) + e: c for e, c in p.terms.items()})
 
     w = variable(ectx, w_name)
     one_minus_w = constant(ectx, 1) - w
@@ -350,7 +344,6 @@ def ideal_intersect(F: Sequence[Polynomial], G: Sequence[Polynomial]) -> list[Po
 
     result = []
     for g in basis:
-        if all(m.exponents[0] == 0 for m in g.terms):
-            result.append(_raw(ctx, {Monomial(m.exponents[1:]): c
-                                     for m, c in g.terms.items()}))
+        if all(e[0] == 0 for e in g.terms):
+            result.append(_raw(ctx, {e[1:]: c for e, c in g.terms.items()}))
     return result

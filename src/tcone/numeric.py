@@ -124,8 +124,8 @@ def _coefficient(c) -> complex:
 
 def _compile(f: Polynomial) -> Compiled:
     """f with float coefficients and sparse exponents, for _evaluate."""
-    return tuple((_coefficient(c), tuple((i, e) for i, e in enumerate(m.exponents) if e))
-                 for m, c in f.terms.items())
+    return tuple((_coefficient(c), tuple((i, k) for i, k in enumerate(e) if k))
+                 for e, c in f.terms.items())
 
 
 def _evaluate(compiled: Compiled, xs: Sequence[complex]) -> complex:
@@ -280,14 +280,14 @@ def substitute_partial(f: Polynomial, fixed: Mapping[str, complex],
     if set(fixed) != expected:
         raise ValueError(f"fixed variables {sorted(fixed)} != {sorted(expected)}")
     free_index = names.index(free_var)
-    degree = max((m.exponents[free_index] for m in f.terms), default=0)
+    degree = max((e[free_index] for e in f.terms), default=0)
     out = [0j] * (degree + 1)
-    for m, c in f.terms.items():
+    for e, c in f.terms.items():
         v = complex(float(c))
-        for name, e in zip(names, m.exponents):
-            if name != free_var and e:
-                v *= complex(fixed[name]) ** e
-        out[m.exponents[free_index]] += v
+        for name, k in zip(names, e):
+            if name != free_var and k:
+                v *= complex(fixed[name]) ** k
+        out[e[free_index]] += v
     return out
 
 
@@ -313,10 +313,13 @@ def _far_points(f: Polynomial, radius: float, trials: int,
     # f compiled once in scaled form: term t contributes
     # scaled[t] * exp(i * sum_k e_tk * theta_k) * w**e_tj
     d = total_degree(f)
-    exps = np.array([m.exponents for m in f.terms])
     try:
-        scaled = np.array([_coefficient(c) * radius ** (m.degree - d)
-                           for m, c in f.terms.items()])
+        exps = np.array(list(f.terms), dtype=np.int64)
+    except OverflowError:
+        raise ValueError("far sampling needs exponents below 2**63") from None
+    try:
+        scaled = np.array([_coefficient(c) * radius ** (sum(e) - d)
+                           for e, c in f.terms.items()])
         in_range = np.isfinite(scaled).all()
     except OverflowError:  # only when R < 1
         in_range = False
@@ -451,7 +454,9 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
 
     Reports r(t) = max_i |g_i(t*v)|**(1/deg g_i) / t.  The ratio decays
     like a power of t on cone directions and converges to a positive
-    constant when some top form survives at v.
+    constant when some top form survives at v.  A constant generator
+    means V is empty, and so is its cone: every value is n/a and the
+    verdict is fail.
     """
     gens = list(F)
     if any(g.is_zero() for g in gens) or not gens:
@@ -462,18 +467,21 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
     compiled = [_compile(g) for g in gens]
     samples: list[tuple[float, float | None]] = []
     overflow_at = None
+    empty = 0 in degrees
     for t in sched.values():
         point = tuple(t * complex(z) for z in v)
         try:
-            r = max(abs(_evaluate(g, point)) ** (1.0 / d)
-                    for g, d in zip(compiled, degrees)) / t
+            r = None if empty else max(abs(_evaluate(g, point)) ** (1.0 / d)
+                                       for g, d in zip(compiled, degrees)) / t
         except EvaluationOverflowError:
             overflow_at = t
             samples.append((t, None))
             continue
         samples.append((t, r))
     values = [r for _, r in samples]
-    if overflow_at is not None:
+    if empty:
+        verdict, diagnostics = FAIL, "a generator is a nonzero constant: V is empty"
+    elif overflow_at is not None:
         verdict, diagnostics = INCONCLUSIVE, f"evaluation overflow at t={overflow_at:g}"
     elif all(r == 0 for r in values):
         verdict = PASS

@@ -1,24 +1,23 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Polynomials are stored as finite maps from exponent vectors to nonzero
-``Fraction`` coefficients, relative to a fixed :class:`VariableContext`.
-All values are immutable and every operation is a pure function, so
-polynomials may be shared freely across threads.
+A monomial is its exponent tuple: one nonnegative ``int`` per variable
+of a fixed :class:`VariableContext`, in context order, so x^2*z in
+(x, y, z) is ``(2, 0, 1)``.  A polynomial maps exponent tuples to
+nonzero ``Fraction`` coefficients.  All values are immutable and every
+operation is a pure function, so polynomials may be shared freely
+across threads.
 
 Monomial orders: lex, grlex, grevlex, and a block order that eliminates
-the first variable and falls back to grevlex on the rest.
+the first variable and falls back to grevlex on the rest.  Each sorts
+exponent tuples through its ``key``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add as _add, le as _le, neg as _neg, sub as _sub
+from operator import add as _add, neg as _neg
 from typing import Iterable, Mapping, NamedTuple
-
-# The coefficient field.  Fraction already guarantees lowest terms and a
-# positive denominator, which is exactly the canonical form we need.
-Rational = Fraction
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -76,61 +75,6 @@ class VariableContext:
             raise KeyError(f"unknown variable {name!r}") from None
 
 
-class Monomial:
-    """A power product, represented by its exponent vector."""
-
-    __slots__ = ("exponents",)
-
-    def __init__(self, exponents: Iterable[int]):
-        exps = tuple(int(e) for e in exponents)
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
-        object.__setattr__(self, "exponents", exps)
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("Monomial is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exponents == other.exponents
-
-    def __hash__(self):
-        return hash(self.exponents)
-
-    def __repr__(self):
-        return f"Monomial({self.exponents})"
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def times(self, other: "Monomial") -> "Monomial":
-        return _mono(tuple(map(_add, self.exponents, other.exponents)))
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(map(_le, self.exponents, other.exponents))
-
-    def quotient(self, other: "Monomial") -> "Monomial":
-        """self / other; caller guarantees divisibility."""
-        return _mono(tuple(map(_sub, self.exponents, other.exponents)))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return _mono(tuple(map(max, self.exponents, other.exponents)))
-
-
-_set_exponents = Monomial.exponents.__set__
-
-
-def _mono(exps: tuple[int, ...]) -> Monomial:
-    """A Monomial on an exponent tuple the caller knows to be nonnegative ints.
-
-    Skips the validation of ``Monomial(...)``; sums, differences of a
-    divisor and maxima of valid exponent vectors never need it.
-    """
-    m = object.__new__(Monomial)
-    _set_exponents(m, exps)
-    return m
-
-
 def _lex_key(e: tuple[int, ...]) -> tuple[int, ...]:
     return e
 
@@ -171,18 +115,13 @@ class MonomialOrder(NamedTuple):
         except KeyError:
             raise ValueError(f"unknown order kind {self.kind!r}") from None
 
-    def key(self, m: Monomial) -> tuple[int, ...]:
-        """The exponent key of m."""
-        return self.exponent_key(m.exponents)
+    def key(self, e: tuple[int, ...]) -> tuple[int, ...]:
+        """The exponent key of the exponent tuple e."""
+        return self.exponent_key(e)
 
     @property
     def degree_compatible(self) -> bool:
         return self.kind in ("grlex", "grevlex")
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        """-1, 0 or 1 as a is less than, equal to or greater than b."""
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
 
 
 LEX = MonomialOrder("lex")
@@ -194,20 +133,28 @@ ORDERS_BY_NAME = {"lex": LEX, "grlex": GRLEX, "grevlex": GREVLEX}
 
 
 class Polynomial:
-    """A sparse polynomial with exact rational coefficients."""
+    """A sparse polynomial with exact rational coefficients.
+
+    ``terms`` maps exponent tuples to nonzero Fractions.  The constructor
+    checks its input: each key must have the context's arity and
+    nonnegative integer entries.
+    """
 
     __slots__ = ("context", "terms")
 
     def __init__(self, context: VariableContext,
-                 terms: Mapping[Monomial, Rational] | None = None):
-        clean: dict[Monomial, Fraction] = {}
-        for m, c in (terms or {}).items():
-            if len(m.exponents) != context.n:
+                 terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
+        clean: dict[tuple[int, ...], Fraction] = {}
+        for e, c in (terms or {}).items():
+            e = tuple(map(int, e))
+            if len(e) != context.n:
                 raise ContextMismatchError(
-                    f"monomial arity {len(m.exponents)} in {context.n}-variable context")
+                    f"monomial arity {len(e)} in {context.n}-variable context")
+            if any(k < 0 for k in e):
+                raise ValueError(f"negative exponent in {e}")
             c = Fraction(c)
             if c != 0:
-                clean[m] = c
+                clean[e] = c
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "terms", clean)
 
@@ -220,17 +167,10 @@ class Polynomial:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m.degree == 0 for m in self.terms)
+        return not any(map(any, self.terms))
 
     def is_homogeneous(self) -> bool:
-        degrees = {m.degree for m in self.terms}
-        return len(degrees) <= 1
-
-    def monomials(self) -> list[Monomial]:
-        return list(self.terms)
-
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self.terms.get(m, Fraction(0))
+        return len(set(map(sum, self.terms))) <= 1
 
     def __eq__(self, other):
         return (isinstance(other, Polynomial)
@@ -247,8 +187,8 @@ class Polynomial:
         if not self.terms:
             return "Polynomial(0)"
         parts = []
-        for m in sorted(self.terms, key=GREVLEX.key, reverse=True):
-            parts.append(f"{self.terms[m]}*{m.exponents}")
+        for e in sorted(self.terms, key=GREVLEX.key, reverse=True):
+            parts.append(f"{self.terms[e]}*{e}")
         return "Polynomial(" + " + ".join(parts) + ")"
 
     # -- arithmetic ---------------------------------------------------
@@ -290,10 +230,10 @@ class Polynomial:
             return _raw(self.context, {m: a * c for m, a in self.terms.items()})
         other = self._coerce(other)
         self._check_context(other)
-        res: dict[Monomial, Fraction] = {}
+        res: dict[tuple[int, ...], Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = m1.times(m2)
+                m = tuple(map(_add, m1, m2))
                 s = res.get(m, Fraction(0)) + c1 * c2
                 if s == 0:
                     res.pop(m, None)
@@ -325,7 +265,7 @@ class Polynomial:
         return NotImplemented
 
 
-def _raw(context: VariableContext, terms: dict[Monomial, Fraction]) -> Polynomial:
+def _raw(context: VariableContext, terms: dict[tuple[int, ...], Fraction]) -> Polynomial:
     """Build from an already-clean term dict (no zero coefficients)."""
     p = Polynomial.__new__(Polynomial)
     object.__setattr__(p, "context", context)
@@ -340,18 +280,16 @@ def zero(context: VariableContext) -> Polynomial:
     return Polynomial(context)
 
 
-def constant(context: VariableContext, value: Rational) -> Polynomial:
+def constant(context: VariableContext, value: Fraction | int) -> Polynomial:
     c = Fraction(value)
     if c == 0:
         return Polynomial(context)
-    return _raw(context, {Monomial((0,) * context.n): c})
+    return _raw(context, {(0,) * context.n: c})
 
 
 def variable(context: VariableContext, name: str) -> Polynomial:
     i = context.index(name)
-    exps = [0] * context.n
-    exps[i] = 1
-    return _raw(context, {Monomial(exps): Fraction(1)})
+    return _raw(context, {tuple(int(k == i) for k in range(context.n)): Fraction(1)})
 
 
 def variables(context: VariableContext) -> list[Polynomial]:
@@ -366,38 +304,29 @@ def differentiate(f: Polynomial, var_index: int) -> Polynomial:
     """Formal partial derivative with respect to the var_index-th variable."""
     if not 0 <= var_index < f.context.n:
         raise IndexError(f"variable index {var_index} out of range")
-    res: dict[Monomial, Fraction] = {}
-    for m, c in f.terms.items():
-        e = m.exponents[var_index]
-        if e == 0:
-            continue
-        exps = list(m.exponents)
-        exps[var_index] = e - 1
-        res[Monomial(exps)] = c * e
-    return _raw(f.context, res)
+    i = var_index
+    return _raw(f.context, {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+                            for e, c in f.terms.items() if e[i]})
 
 
 def total_degree(f: Polynomial) -> int:
     if f.is_zero():
         raise ZeroPolynomialError("degree of the zero polynomial is undefined")
-    return max(m.degree for m in f.terms)
+    return max(map(sum, f.terms))
 
 
 def leading_form(f: Polynomial) -> Polynomial:
     """The homogeneous component of highest degree."""
     d = total_degree(f)
-    return _raw(f.context, {m: c for m, c in f.terms.items() if m.degree == d})
+    return _raw(f.context, {e: c for e, c in f.terms.items() if sum(e) == d})
 
 
-def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[Monomial, Rational]:
+def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[tuple[int, ...], Fraction]:
+    """(exponent tuple, coefficient) of the largest term under the order."""
     if f.is_zero():
         raise ZeroPolynomialError("leading term of the zero polynomial is undefined")
-    m = max(f.terms, key=order.key)
-    return m, f.terms[m]
-
-
-def leading_monomial(f: Polynomial, order: MonomialOrder) -> Monomial:
-    return leading_term(f, order)[0]
+    e = max(f.terms, key=order.key)
+    return e, f.terms[e]
 
 
 def monic(f: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -413,10 +342,10 @@ def evaluate_exact(f: Polynomial, point) -> Fraction:
     if len(point) != f.context.n:
         raise ValueError(f"point has {len(point)} entries, expected {f.context.n}")
     total = Fraction(0)
-    for m, c in f.terms.items():
+    for e, c in f.terms.items():
         v = c
-        for x, e in zip(point, m.exponents):
-            if e:
-                v *= x ** e
+        for x, k in zip(point, e):
+            if k:
+                v *= x ** k
         total += v
     return total

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 from .groebner import Basis
 from .cone import ConeDescription
 from .polyring import (
-    Monomial,
     MonomialOrder,
     Polynomial,
     VariableContext,
@@ -259,13 +258,6 @@ class ParsedPoint(NamedTuple):
         return tuple(re for re, _ in self.entries)
 
 
-def _parse_rat(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
-
-
 def parse_point(text: str, context: VariableContext) -> ParsedPoint:
     """Parse a comma-separated point like ``0,0,1`` or ``1/2,-3`` or ``0,1+1i``."""
     parts = text.split(",")
@@ -276,33 +268,25 @@ def parse_point(text: str, context: VariableContext) -> ParsedPoint:
         m = _POINT_ENTRY_RE.match(part)
         if not m:
             raise ParseError(f"malformed coordinate {part.strip()!r}", 1, k + 1)
-        if m.group("imonly") is not None:
-            entries.append((Fraction(0), _parse_rat_signed(m.group("imonly"))))
-        else:
-            re_part = _parse_rat_signed(m.group("re"))
-            im_part = _parse_rat_signed(m.group("im")) if m.group("im") else Fraction(0)
-            entries.append((re_part, im_part))
+        re_text, im_text = ("0", m["imonly"]) if m["imonly"] else (m["re"], m["im"] or "0")
+        try:
+            entries.append((Fraction(re_text), Fraction(im_text)))
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in coordinate {part.strip()!r}",
+                             1, k + 1) from None
     return ParsedPoint(tuple(entries))
-
-
-def _parse_rat_signed(text: str) -> Fraction:
-    sign = 1
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        text = text[1:]
-    return sign * _parse_rat(text)
 
 
 # -- rendering ----------------------------------------------------------
 
 
-def _render_monomial(m: Monomial, names: Sequence[str]) -> str:
+def _render_monomial(e: tuple[int, ...], names: Sequence[str]) -> str:
     parts = []
-    for name, e in zip(names, m.exponents):
-        if e == 1:
+    for name, k in zip(names, e):
+        if k == 1:
             parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
+        elif k > 1:
+            parts.append(f"{name}^{k}")
     return "*".join(parts)
 
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from tcone.polyring import VariableContext, variables
+from tcone.polyring import Polynomial, VariableContext, total_degree, variables
 
 
 @pytest.fixture
@@ -44,6 +44,26 @@ def katsura(n):
 
     return [sum(u(l) * u(m - l) for l in range(-n, n + 1)) - u(m) for m in range(n)] \
         + [us[0] + 2 * sum(us[1:]) - 1]
+
+
+def homogenize(f, fresh_var):
+    """f made homogeneous of degree deg(f) by a new trailing variable.
+
+    Setting the new variable to 1 recovers f; setting it to 0 leaves the
+    top-degree form, the identity tangent_cone_at_infinity relies on.
+    """
+    if fresh_var in f.context.names:
+        raise ValueError(f"variable {fresh_var!r} already present")
+    d = total_degree(f)  # ZeroPolynomialError for f = 0
+    ctx = VariableContext(f.context.names + (fresh_var,))
+    return Polynomial(ctx, {e + (d - sum(e),): c for e, c in f.terms.items()})
+
+
+def restrict_infinity(g, var):
+    """Substitute 0 for ``var`` and drop it from the context."""
+    i = g.context.index(var)
+    ctx = VariableContext(g.context.names[:i] + g.context.names[i + 1:])
+    return Polynomial(ctx, {e[:i] + e[i + 1:]: c for e, c in g.terms.items() if e[i] == 0})
 
 
 @pytest.fixture(params=["cyclic4", "katsura3"])

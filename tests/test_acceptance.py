@@ -13,13 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from tcone.cli import main
-from tcone.cone import (
-    cone_membership,
-    homogenize,
-    naive_leading_form_set,
-    restrict_infinity,
-    tangent_cone_at_infinity,
-)
+from tcone.cone import cone_membership, naive_leading_form_set, tangent_cone_at_infinity
 from tcone.groebner import (
     buchberger,
     ideal_equal,
@@ -42,6 +36,7 @@ from tcone.polyring import (
     variables,
 )
 
+from conftest import homogenize, restrict_infinity
 from test_polyring import random_poly
 
 DATA = Path(__file__).parent / "data"

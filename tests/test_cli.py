@@ -179,10 +179,25 @@ def test_verify_sample_degree_400_ends_with_a_verdict(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and err.startswith("verdict: ")
 
 
+def test_verify_ratio_whole_ring_fails_without_values(capsys):
+    code, out, err = run(capsys, ["verify", "ratio", WHOLERING, "--direction", "1"])
+    assert code == 2
+    assert "t=10 value=n/a" in out and "verdict: fail" in out
+    assert err == "verdict: fail (a generator is a nonzero constant: V is empty)\n"
+
+
 def test_verify_sample_refuses_multiple_generators(capsys):
     code, _, err = run(capsys, ["verify", "sample", FIVELINES])
     assert code == 1
     assert "hypersurface" in err
+
+
+def test_verify_sample_exponent_beyond_int64_is_one_line(capsys, tmp_path):
+    path = ideal_file(tmp_path, "vars x y\npoly x^99999999999999999999 - y\n")
+    code, out, err = run(capsys, ["verify", "sample", path, "--trials", "3"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: far sampling needs exponents below 2**63\n"
 
 
 # -- error handling ----------------------------------------------------------------
@@ -211,6 +226,9 @@ USAGE_ERRORS = {
     "bad-order": ["gb", FIVELINES, "--order", "bogus"],
     "bad-float": ["verify", "ratio", FIVELINES, "--direction", "0,0,1", "--t0", "abc"],
     "extra-argument": ["gb", FIVELINES, "extra"],
+    "zero-denominator-point": ["member", CUSP, "--point", "1/0,1"],
+    "zero-denominator-direction": ["verify", "ratio", CUSP, "--direction", "1/0,1"],
+    "zero-denominator-imaginary": ["verify", "distance", CUSP, "--direction", "1,0+1/0i"],
 }
 
 

@@ -3,17 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from tcone.cone import (
-    cone_membership,
-    homogenize,
-    naive_leading_form_set,
-    restrict_infinity,
-    tangent_cone_at_infinity,
-)
+from tcone.cone import cone_membership, naive_leading_form_set, tangent_cone_at_infinity
 from tcone.groebner import buchberger, ideal_equal, ideal_member
 from tcone.polyring import (
     GREVLEX,
     LEX,
+    Polynomial,
     VariableContext,
     ZeroPolynomialError,
     constant,
@@ -23,6 +18,7 @@ from tcone.polyring import (
     zero,
 )
 
+from conftest import homogenize, restrict_infinity
 from test_polyring import random_poly
 
 
@@ -49,7 +45,7 @@ def test_homogenize_quartic_generator(xyz):
 def test_homogenize_already_homogeneous(xy):
     ctx, x, y = xy
     h = homogenize(x * y, "t")
-    assert all(m.exponents[2] == 0 for m in h.terms)
+    assert all(e[2] == 0 for e in h.terms)
     assert h.is_homogeneous()
 
 
@@ -76,14 +72,12 @@ def test_homogenize_sets_var_to_one_recovers(xy):
 
 def restrict_at_one(g, var):
     """Substitute 1 for var, dropping it from the context (test helper)."""
-    from tcone.polyring import Monomial, Polynomial
-
     i = g.context.index(var)
     names = g.context.names[:i] + g.context.names[i + 1:]
     ctx = VariableContext(names)
     terms = {}
-    for m, c in g.terms.items():
-        key = Monomial(m.exponents[:i] + m.exponents[i + 1:])
+    for e, c in g.terms.items():
+        key = e[:i] + e[i + 1:]
         terms[key] = terms.get(key, Fraction(0)) + c
     return Polynomial(ctx, terms)
 

@@ -90,11 +90,11 @@ def test_evaluate_complex_agrees_with_exact():
 def term_loop_evaluate(f, point):
     """Reference: the per-term loop over f.terms, converting as it goes."""
     total = 0j
-    for m, c in f.terms.items():
+    for e, c in f.terms.items():
         v = complex(float(c))
-        for x, e in zip(point, m.exponents):
-            if e:
-                v *= complex(x) ** e
+        for x, k in zip(point, e):
+            if k:
+                v *= complex(x) ** k
         total += v
     return total
 

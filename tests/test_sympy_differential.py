@@ -29,14 +29,14 @@ def seeded_ideals(count=30, seed=2016):
 
 def monic_set(polys, order):
     """Each polynomial made monic, as a set of term sets on exponent tuples."""
-    return {frozenset((m.exponents, c) for m, c in monic(p, order).terms.items())
+    return {frozenset(monic(p, order).terms.items())
             for p in polys}
 
 
 def sympy_basis(gens, kind):
     symbols = sympy.symbols(gens[0].context.names)
-    polys = [sympy.Poly.from_dict({m.exponents: sympy.Rational(c.numerator, c.denominator)
-                                   for m, c in g.terms.items()}, *symbols, domain="QQ")
+    polys = [sympy.Poly.from_dict({e: sympy.Rational(c.numerator, c.denominator)
+                                   for e, c in g.terms.items()}, *symbols, domain="QQ")
              for g in gens]
     basis = sympy.groebner(polys, *symbols, order=kind)
     return {frozenset((e, Fraction(int(c.p), int(c.q))) for e, c in p.terms())

@@ -137,6 +137,8 @@ def test_parse_point_errors(xyz):
         parse_point("1,2,fish", ctx)
     with pytest.raises(ParseError):
         parse_point("1.5,0,0", ctx)
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_point("1,-2/0,0", ctx)
 
 
 # -- rendering ----------------------------------------------------------------
