@@ -142,8 +142,8 @@ def verify_distance(args) -> int:
     v = parse_point(args.direction, ideal.context).complexes
     basis = buchberger(ideal.polynomials, ORDERS_BY_NAME[args.order])
     sched = numeric.TSchedule(args.t0, args.factor, args.steps)
-    opts = numeric.SolverOptions(seed=args.seed, residual_tol=args.residual_tol)
-    report = numeric.distance_ratio_report(basis.generators, v, sched, opts,
+    report = numeric.distance_ratio_report(basis.generators, v, sched, seed=args.seed,
+                                           residual_tol=args.residual_tol,
                                            pass_decay=args.pass_decay,
                                            plateau_tol=args.plateau_tol)
     return _emit_report(report, args.json)

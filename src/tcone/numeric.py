@@ -82,16 +82,12 @@ class VerificationReport:
         self.trials = trials
 
 
-class SolverOptions(NamedTuple):
-    """Knobs for the damped least-squares distance estimator."""
-
-    seed: int = 42
-    residual_tol: float = 1e-10
-    max_iterations: int = 300
-    num_perturbations: int = 8
-    perturbation_radius: float = 0.5
-    initial_damping: float = 1e-3
-    polish_cycles: int = 120
+# The damped least-squares distance estimator's fixed settings.
+_MAX_ITERATIONS = 300  # Levenberg steps per run
+_NUM_PERTURBATIONS = 8  # seeded starts besides x0
+_PERTURBATION_RADIUS = 0.5  # of those starts, relative to ||x0||
+_INITIAL_DAMPING = 1e-3
+_POLISH_CYCLES = 120  # tangential slides toward x0 after a landing
 
 
 class DistanceEstimate(NamedTuple):
@@ -292,7 +288,11 @@ def substitute_partial(f: Polynomial, fixed: Mapping[str, complex],
 
 
 def _norm(point: Sequence[complex]) -> float:
-    return math.sqrt(sum(abs(z) ** 2 for z in point))
+    """The Euclidean norm, or inf when a square leaves double precision."""
+    try:
+        return math.sqrt(sum(abs(z) ** 2 for z in point))
+    except OverflowError:
+        return math.inf
 
 
 def _far_points(f: Polynomial, radius: float, trials: int,
@@ -515,12 +515,15 @@ def _residual_at(gens: Sequence[Compiled], degrees: Sequence[int], tol: float,
     One evaluation of each generator serves both.  The point lands on V
     when every normalized residual |g_i| / max(1, ||point||)**deg(g_i)
     is below ``tol``.  Raises EvaluationOverflowError when an evaluation,
-    or the power of the scale in that test, leaves double precision.
+    the norm, or the power of the scale in that test leaves double
+    precision.
     """
     import numpy as np
     xs = [complex(x) for x in point]
     values = [_evaluate(g, xs) for g in gens]
     scale = max(1.0, _norm(point))
+    if scale == math.inf:  # inf**d would let every point land
+        raise EvaluationOverflowError("the norm overflowed double precision")
     try:
         lands = all(abs(v) / scale ** d < tol for v, d in zip(values, degrees))
     except OverflowError as err:
@@ -546,17 +549,17 @@ def _real_jacobian(jac_polys: Sequence[Sequence[Compiled]], point: np.ndarray) -
 
 
 def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
-                            opts: SolverOptions = SolverOptions()) -> DistanceEstimate:
+                            seed: int = 42, residual_tol: float = 1e-10) -> DistanceEstimate:
     """Upper bound on the distance from x0 to the common zero set of F.
 
     Damped least-squares (Levenberg-style) iterations on the real and
     imaginary parts of the generators, started from x0 and from
-    seeded random perturbations of relative radius
-    ``opts.perturbation_radius``.  A run converges when every
-    normalized residual |g_i(z)| / max(1,||z||)**deg(g_i) drops below
-    ``opts.residual_tol``; the returned bound is the smallest
-    ||x0 - z|| over converged runs, hence an upper bound on the true
-    distance up to that residual tolerance.
+    perturbations of relative radius 0.5, drawn from ``seed``.  A run
+    converges when every normalized residual |g_i(z)| / max(1,||z||)**deg(g_i)
+    drops below ``residual_tol``; the returned bound is the smallest
+    finite ||x0 - z|| over converged runs, hence an upper bound on the
+    true distance up to that residual tolerance.  ``converged`` is false
+    when no run lands at a finite distance.
     """
     import numpy as np
     gens = [g for g in F if not g.is_zero()]
@@ -571,44 +574,41 @@ def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
     gens = [_compile(g) for g in gens]
 
     def residual_at(z: np.ndarray) -> tuple[np.ndarray, bool]:
-        return _residual_at(gens, degrees, opts.residual_tol, z)
+        return _residual_at(gens, degrees, residual_tol, z)
 
     starts = [x0]
     base_norm = _norm(x0)
-    for k in range(opts.num_perturbations):
-        rng = np.random.default_rng([opts.seed, k])
+    for k in range(_NUM_PERTURBATIONS):
+        rng = np.random.default_rng([seed, k])
         u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         u_norm = _norm(u)
         if u_norm == 0:
             u = np.ones(n, dtype=complex)
             u_norm = _norm(u)
-        delta = (opts.perturbation_radius * base_norm / u_norm) * u
+        delta = (_PERTURBATION_RADIUS * base_norm / u_norm) * u
         starts.append(tuple(complex(x0[i] + delta[i]) for i in range(n)))
 
     best_bound = math.inf
     best_landed: ComplexPoint | None = None
-    any_converged = False
     eye = np.eye(2 * n)
     for start in starts:
         with np.errstate(all="ignore"):  # far out, J.T @ J may overflow: no warning
-            landed = _levenberg_run(residual_at, jac_polys, start, opts, eye)
+            landed = _levenberg_run(residual_at, jac_polys, start, eye)
             if landed is None:
                 continue
-            any_converged = True
-            landed = _tangential_polish(residual_at, jac_polys, x0, landed, opts, eye)
-        bound = _dist(x0, landed)
+            landed = _tangential_polish(residual_at, jac_polys, x0, landed, eye)
+            bound = _dist(x0, landed)
         if bound < best_bound:
             best_bound = bound
             best_landed = landed
-    return DistanceEstimate(best_bound if any_converged else math.inf,
-                            best_landed, any_converged)
+    return DistanceEstimate(best_bound, best_landed, best_landed is not None)
 
 
 def _dist(a: Sequence[complex], b: Sequence[complex]) -> float:
-    return math.sqrt(sum(abs(x - y) ** 2 for x, y in zip(a, b)))
+    return _norm([x - y for x, y in zip(a, b)])
 
 
-def _tangential_polish(residual_at, jac_polys, x0, landed, opts, eye) -> ComplexPoint:
+def _tangential_polish(residual_at, jac_polys, x0, landed, eye) -> ComplexPoint:
     """Slide a landed point along the variety toward x0.
 
     Alternates a step toward x0 projected onto the tangent space of the
@@ -623,7 +623,7 @@ def _tangential_polish(residual_at, jac_polys, x0, landed, opts, eye) -> Complex
     best = float(np.linalg.norm(z - target))
     if best == 0:
         return landed
-    for _ in range(opts.polish_cycles):
+    for _ in range(_POLISH_CYCLES):
         d = target - z
         d_real = np.empty(2 * len(z))
         d_real[0::2] = d.real
@@ -639,7 +639,7 @@ def _tangential_polish(residual_at, jac_polys, x0, landed, opts, eye) -> Complex
         improved = False
         while alpha > 1e-4:
             trial = z + alpha * step
-            reprojected = _levenberg_run(residual_at, jac_polys, tuple(trial), opts, eye)
+            reprojected = _levenberg_run(residual_at, jac_polys, tuple(trial), eye)
             if reprojected is not None:
                 dist = _dist(x0, reprojected)
                 if dist < best * (1 - 1e-12):
@@ -653,7 +653,7 @@ def _tangential_polish(residual_at, jac_polys, x0, landed, opts, eye) -> Complex
     return tuple(z)
 
 
-def _levenberg_run(residual_at, jac_polys, start, opts, eye) -> ComplexPoint | None:
+def _levenberg_run(residual_at, jac_polys, start, eye) -> ComplexPoint | None:
     import numpy as np
     z = np.array(start, dtype=complex)
     try:
@@ -662,9 +662,9 @@ def _levenberg_run(residual_at, jac_polys, start, opts, eye) -> ComplexPoint | N
         return None
     if lands:
         return tuple(z)
-    damping = opts.initial_damping
+    damping = _INITIAL_DAMPING
     cost = float(res @ res)
-    for _ in range(opts.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         J = _real_jacobian(jac_polys, z)
         A = J.T @ J
         b = -(J.T @ res)
@@ -699,32 +699,36 @@ def _levenberg_run(residual_at, jac_polys, start, opts, eye) -> ComplexPoint | N
 
 
 def distance_ratio_report(F: Sequence[Polynomial], v: Sequence[complex], sched: TSchedule,
-                  opts: SolverOptions = SolverOptions(), pass_decay: float = 0.5,
-                  plateau_tol: float = 0.1) -> VerificationReport:
+                          seed: int = 42, residual_tol: float = 1e-10,
+                          pass_decay: float = 0.5,
+                          plateau_tol: float = 0.1) -> VerificationReport:
     """Distance-ratio evidence along the ray t*v.
 
     Tabulates estimate_distance_upper(F, t*v)/t over the schedule.  The
     ratio must drop by at least ``1/pass_decay`` from first to last
     step on cone directions and plateaus at a positive level otherwise;
     solver non-convergence at any step makes the report inconclusive.
+    A nonzero constant generator means V is empty: every value is n/a
+    and the verdict is fail, as in ``loj_ratio_schedule``.
     """
     if all(z == 0 for z in v):
         raise ValueError("direction must be nonzero")
     vv = tuple(complex(z) for z in v)
+    empty = any(g.is_constant() and not g.is_zero() for g in F)
     samples: list[tuple[float, float | None]] = []
-    bounds: list[float | None] = []
     failed_steps = []
     for t in sched.values():
-        est = estimate_distance_upper(F, tuple(t * z for z in vv), opts)
-        if not est.converged:
+        est = None if empty else estimate_distance_upper(
+            F, tuple(t * z for z in vv), seed, residual_tol)
+        if est is None or not est.converged:
             samples.append((t, None))
-            bounds.append(None)
             failed_steps.append(t)
         else:
             samples.append((t, est.bound / t))
-            bounds.append(est.bound)
     values = [r for _, r in samples]
-    if failed_steps:
+    if empty:
+        verdict, diagnostics = FAIL, "a generator is a nonzero constant: V is empty"
+    elif failed_steps:
         verdict = INCONCLUSIVE
         diagnostics = ("solver did not converge at t = "
                        + ", ".join(f"{t:g}" for t in failed_steps))
@@ -745,5 +749,5 @@ def distance_ratio_report(F: Sequence[Polynomial], v: Sequence[complex], sched: 
     return VerificationReport(
         kind="distance", samples=tuple(samples),
         fitted_decay_exponent=_fit_decay_exponent(samples),
-        verdict=verdict, diagnostics=diagnostics, seed=opts.seed,
+        verdict=verdict, diagnostics=diagnostics, seed=seed,
         schedule=sched, direction=vv)

@@ -16,8 +16,10 @@ Ideal file grammar (one construct per line)::
 
 Exactly one vars-line, before any poly-line.  Multiplication is always
 explicit: ``xy`` is a single identifier, never a product.  Coefficients
-are exact rationals; floating literals are rejected.  All rendering is
-deterministic so identical inputs produce byte-identical output.
+are exact rationals; floating literals are rejected.  Parentheses nest
+at most 100 deep.  Errors name a line and a 1-based column in the raw
+line.  All rendering is deterministic so identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -41,13 +43,11 @@ if TYPE_CHECKING:  # imported where needed: gb, cone and member never need numer
 
 
 class ParseError(ValueError):
-    """Syntax or semantic error in user input, with source position."""
+    """Syntax or semantic error in user input, with its line and column."""
 
     def __init__(self, message: str, line: int, column: int, source: str = "<input>"):
-        self.message = message
         self.line = line
         self.column = column
-        self.source = source
         super().__init__(f"{source}:{line}:{column}: {message}")
 
 
@@ -60,132 +60,107 @@ class IdealFile(NamedTuple):
     poly_lines: tuple[int, ...]
 
 
+# Deepest parenthesis nesting on a poly-line.  The parser recurses once
+# per level, so the cap keeps it far below the interpreter's limit.
+_MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
                        r"|(?P<op>[-+*/^()]))")
 
-
-class _Tokens:
-    def __init__(self, text: str, lineno: int, source: str):
-        self.text = text
-        self.lineno = lineno
-        self.source = source
-        self.pos = 0
-        self.items: list[tuple[str, str, int]] = []  # (kind, value, column)
-        while True:
-            m = _TOKEN_RE.match(text, self.pos)
-            if not m:
-                rest = text[self.pos:].strip()
-                if rest:
-                    col = self.pos + len(text[self.pos:]) - len(text[self.pos:].lstrip()) + 1
-                    raise ParseError(f"unexpected character {rest[0]!r}",
-                                     lineno, col, source)
-                break
-            self.pos = m.end()
-            kind = m.lastgroup
-            self.items.append((kind, m.group(kind), m.start(kind) + 1))
-            if self.pos >= len(text):
-                break
-        self.index = 0
-
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.items[self.index] if self.index < len(self.items) else None
-
-    def next(self) -> tuple[str, str, int] | None:
-        tok = self.peek()
-        if tok is not None:
-            self.index += 1
-        return tok
-
-    def error(self, message: str, column: int | None = None):
-        if column is None:
-            tok = self.peek()
-            column = tok[2] if tok else len(self.text) + 1
-        raise ParseError(message, self.lineno, column, self.source)
+_Token = tuple[str, str, int]  # (kind, value, column)
 
 
-class _ExprParser:
-    """Recursive-descent parser for one poly-line expression."""
+def _tokens(raw: str, start: int, lineno: int, source: str) -> list[_Token]:
+    """The tokens of raw[start:], with 1-based columns in the raw line.
 
-    def __init__(self, tokens: _Tokens, context: VariableContext):
-        self.toks = tokens
-        self.ctx = context
+    The kind is 'nat', 'ident' or, for an operator, the operator itself.
+    A last ('end', '', column) token stands just past the line's last
+    nonblank character.
+    """
+    out = []
+    pos = start
+    while m := _TOKEN_RE.match(raw, pos):
+        kind = m.lastgroup
+        value = m.group(kind)
+        out.append((value if kind == "op" else kind, value, m.start(kind) + 1))
+        pos = m.end()
+    rest = raw[pos:].lstrip()
+    if rest:
+        raise ParseError(f"unexpected character {rest[0]!r}",
+                         lineno, len(raw) - len(rest) + 1, source)
+    out.append(("end", "", len(raw.rstrip()) + 1))
+    return out
 
-    def parse(self) -> Polynomial:
-        p = self.expr()
-        if self.toks.peek() is not None:
-            kind, value, col = self.toks.peek()
-            self.toks.error(f"unexpected {value!r}", col)
-        return p
 
-    def expr(self) -> Polynomial:
-        negate = False
-        tok = self.toks.peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
-            self.toks.next()
-            negate = True
-        p = self.term()
+def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
+                source: str) -> Polynomial:
+    """The polynomial of one poly-line's tokens, by recursive descent."""
+    ahead = toks[::-1]  # a stack: ahead[-1] is the next token, 'end' the last
+
+    def fail(message: str, tok: _Token):
+        raise ParseError(message, lineno, tok[2], source)
+
+    def expr(depth: int) -> Polynomial:
+        negate = ahead[-1][0] == "-"
+        if negate:
+            ahead.pop()
+        p = term(depth)
         if negate:
             p = -p
-        while True:
-            tok = self.toks.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.toks.next()
-                rhs = self.term()
-                p = p + rhs if tok[1] == "+" else p - rhs
-            else:
-                return p
-
-    def term(self) -> Polynomial:
-        p = self.factor()
-        while True:
-            tok = self.toks.peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
-                self.toks.next()
-                p = p * self.factor()
-            else:
-                return p
-
-    def factor(self) -> Polynomial:
-        p = self.base()
-        tok = self.toks.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.toks.next()
-            etok = self.toks.next()
-            if etok is None or etok[0] != "nat":
-                self.toks.error("'^' requires a natural-number exponent",
-                                etok[2] if etok else None)
-            p = p ** int(etok[1])
+        while ahead[-1][0] in ("+", "-"):
+            op = ahead.pop()[0]
+            rhs = term(depth)
+            p = p + rhs if op == "+" else p - rhs
         return p
 
-    def base(self) -> Polynomial:
-        tok = self.toks.next()
-        if tok is None:
-            self.toks.error("unexpected end of expression")
-        kind, value, col = tok
+    def term(depth: int) -> Polynomial:
+        p = factor(depth)
+        while ahead[-1][0] == "*":
+            ahead.pop()
+            p = p * factor(depth)
+        return p
+
+    def factor(depth: int) -> Polynomial:
+        p = base(depth)
+        if ahead[-1][0] == "^":
+            ahead.pop()
+            exponent = ahead.pop()
+            if exponent[0] != "nat":
+                fail("'^' requires a natural-number exponent", exponent)
+            p = p ** int(exponent[1])
+        return p
+
+    def base(depth: int) -> Polynomial:
+        tok = ahead.pop()
+        kind, value, _ = tok
         if kind == "nat":
-            num = int(value)
-            nxt = self.toks.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "/":
-                self.toks.next()
-                dtok = self.toks.next()
-                if dtok is None or dtok[0] != "nat":
-                    self.toks.error("'/' requires a natural-number denominator",
-                                    dtok[2] if dtok else None)
-                if int(dtok[1]) == 0:
-                    self.toks.error("zero denominator", dtok[2])
-                return constant(self.ctx, Fraction(num, int(dtok[1])))
-            return constant(self.ctx, num)
+            if ahead[-1][0] != "/":
+                return constant(context, int(value))
+            ahead.pop()
+            den = ahead.pop()
+            if den[0] != "nat":
+                fail("'/' requires a natural-number denominator", den)
+            if int(den[1]) == 0:
+                fail("zero denominator", den)
+            return constant(context, Fraction(int(value), int(den[1])))
         if kind == "ident":
-            if value not in self.ctx.names:
-                self.toks.error(f"unknown identifier \"{value}\"", col)
-            return variable(self.ctx, value)
-        if kind == "op" and value == "(":
-            p = self.expr()
-            closing = self.toks.next()
-            if closing is None or closing[1] != ")":
-                self.toks.error("expected ')'", closing[2] if closing else None)
+            if value not in context.names:
+                fail(f"unknown identifier \"{value}\"", tok)
+            return variable(context, value)
+        if kind == "(":
+            if depth == _MAX_NESTING:
+                fail(f"parentheses nested deeper than {_MAX_NESTING}", tok)
+            p = expr(depth + 1)
+            if ahead[-1][0] != ")":
+                fail("expected ')'", ahead[-1])
+            ahead.pop()
             return p
-        self.toks.error(f"unexpected {value!r}", col)
+        fail("unexpected end of expression" if kind == "end" else f"unexpected {value!r}", tok)
+
+    p = expr(0)
+    if ahead[-1][0] != "end":
+        fail(f"unexpected {ahead[-1][1]!r}", ahead[-1])
+    return p
 
 
 def parse_ideal(text: str, source: str = "<input>") -> IdealFile:
@@ -198,37 +173,32 @@ def parse_ideal(text: str, source: str = "<input>") -> IdealFile:
         if not line or line.startswith("#"):
             continue
         keyword = line.split(None, 1)[0]
-        rest = line[len(keyword):]
-        offset = raw.index(keyword) + len(keyword)
+        start = len(raw) - len(raw.lstrip())  # the keyword's 0-based column
+        end = start + len(keyword)
         if keyword == "vars":
             if context is not None:
                 raise ParseError("duplicate vars-line", lineno, 1, source)
-            toks = _Tokens(rest, lineno, source)
             names = []
-            while (tok := toks.next()) is not None:
-                if tok[0] != "ident":
-                    raise ParseError(f"expected variable name, got {tok[1]!r}",
-                                     lineno, tok[2] + offset, source)
-                names.append(tok[1])
+            for kind, value, col in _tokens(raw, end, lineno, source)[:-1]:
+                if kind != "ident":
+                    raise ParseError(f"expected variable name, got {value!r}",
+                                     lineno, col, source)
+                names.append(value)
             if not names:
                 raise ParseError("vars-line needs at least one variable",
-                                 lineno, offset + 1, source)
+                                 lineno, end + 1, source)
             if len(set(names)) != len(names):
                 raise ParseError("duplicate variable in vars-line", lineno, 1, source)
             context = VariableContext(tuple(names))
         elif keyword == "poly":
             if context is None:
                 raise ParseError("poly-line before vars-line", lineno, 1, source)
-            toks = _Tokens(rest, lineno, source)
-            try:
-                p = _ExprParser(toks, context).parse()
-            except ParseError as err:
-                raise ParseError(err.message, lineno, err.column + offset, source) from None
-            polys.append(p)
+            polys.append(_parse_poly(_tokens(raw, end, lineno, source),
+                                     context, lineno, source))
             poly_lines.append(lineno)
         else:
             raise ParseError(f"expected 'vars' or 'poly', got {keyword!r}",
-                             lineno, raw.index(keyword) + 1, source)
+                             lineno, start + 1, source)
     if context is None:
         raise ParseError("missing vars-line", 1, 1, source)
     if not any(not p.is_zero() for p in polys):

@@ -133,22 +133,30 @@ def test_verify_distance_pass(capsys):
     assert "verdict: pass" in out
 
 
-def test_verify_distance_inconclusive_exit_three(capsys):
-    code, out, _ = run(capsys, ["verify", "distance", WHOLERING,
-                                "--direction", "1", "--steps", "3"])
-    assert code == 3
-    assert "verdict: inconclusive" in out
+def test_verify_distance_whole_ring_fails_exit_two(capsys):
+    code, out, err = run(capsys, ["verify", "distance", WHOLERING,
+                                  "--direction", "1", "--steps", "3"])
+    assert code == 2
+    assert "t=10 value=n/a" in out and "verdict: fail" in out
+    assert err == "verdict: fail (a generator is a nonzero constant: V is empty)\n"
 
 
 def test_verify_distance_overflow_is_inconclusive(capsys, tmp_path):
     # Far out, the power max(1, ||z||)**70 in the convergence test leaves
-    # double precision; the run must end unconverged, not in an OverflowError.
-    path = ideal_file(tmp_path, "vars x y\npoly x^70 - y\n")
-    code, out, err = run(capsys, ["verify", "distance", path, "--direction", "1,0"])
-    assert code == 3
-    assert out.splitlines()[-1] == "verdict: inconclusive"
-    assert len(err.splitlines()) == 1
-    assert err.startswith("verdict: inconclusive (solver did not converge at t = ")
+    # double precision.  At t0 = 1e160 the squares in the norm do, and the
+    # infinite scale must not make x - 1 land.  Each run must end
+    # unconverged, not in an OverflowError.
+    far = ["--t0", "1e160", "--steps", "1"]
+    cases = [("vars x y\npoly x^70 - y\n", ["--direction", "1,0"]),
+             ((DATA / "fivelines.ideal").read_text(), ["--direction", "0,0,1"] + far),
+             ("vars x y\npoly x - 1\n", ["--direction", "1,0"] + far)]
+    for text, args in cases:
+        path = ideal_file(tmp_path, text)
+        code, out, err = run(capsys, ["verify", "distance", path] + args)
+        assert code == 3
+        assert out.splitlines()[-1] == "verdict: inconclusive"
+        assert len(err.splitlines()) == 1
+        assert err.startswith("verdict: inconclusive (solver did not converge at t = ")
 
 
 # -- verify sample ----------------------------------------------------------------
@@ -207,6 +215,14 @@ def test_parse_error_exit_one(capsys):
     code, _, err = run(capsys, ["gb", BROKEN])
     assert code == 1
     assert 'unknown identifier "xy"' in err
+
+
+def test_deep_nesting_is_one_error_line(capsys, tmp_path):
+    path = ideal_file(tmp_path, "vars x\npoly " + "(" * 300 + "x" + ")" * 300 + "\n")
+    code, out, err = run(capsys, ["gb", path])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}:2:106: parentheses nested deeper than 100\n"
 
 
 def test_missing_file_exit_one(capsys):

@@ -17,14 +17,18 @@ from tcone.cli import main
 
 # Poly-lines are well formed; faults come from the noise lines and the
 # bad coordinates, each drawn less often so that most cases get past
-# parsing.  "w" is an unknown identifier.
+# parsing.  "w" is an unknown identifier.  The generated expressions nest
+# at most two deep; one noise line nests 1000 deep, past the parser's cap.
+# Hypothesis raises the recursion limit by about 2000 frames while a test
+# runs, so a line only 300 deep would parse even without the cap.
 NAMES = ["x", "y", "z"]
 NUMBERS = ["0", "1", "2", "7", "3/4", "12345678901234567890"]
 TOKENS = NAMES + ["w", "xy", "vars", "poly", "+", "-", "*", "/", "^", "(", ")",
                   "0", "1", "2", "1/0", "1.5", "2x", "#", "@", ""]
 NOISE = st.one_of(st.lists(st.sampled_from(TOKENS), max_size=6).map(" ".join),
                   st.sampled_from(["vars x", "vars", "poly", "# comment", "poly 1/0",
-                                   "poly 2/0*x", "poly x*w", "poly (x", "poly x^"]))
+                                   "poly 2/0*x", "poly x*w", "poly (x", "poly x^",
+                                   "poly " + "(" * 1000 + "x" + ")" * 1000]))
 ENTRIES = ["0", "1", "-1", "1/2", "-3/4", "0+1i", "2i"] * 3 + [
     "1/0", "-2/0", "1-1/0i", "-1/0i", "x", "1.5", ""]
 COMMANDS = ["gb", "cone", "member", "ratio", "sample"]

@@ -9,7 +9,6 @@ from tcone import numeric
 from tcone.groebner import buchberger
 from tcone.numeric import (
     EvaluationOverflowError,
-    SolverOptions,
     TSchedule,
     estimate_distance_upper,
     evaluate_complex,
@@ -505,12 +504,12 @@ def test_distance_tracks_branch_oracle(five_lines):
 def test_distance_landing_is_residual_certified(five_lines):
     ctx, f1, f2 = five_lines
     basis = buchberger([f1, f2], GREVLEX)
-    opts = SolverOptions()
-    est = estimate_distance_upper(basis.generators, (0, 0, 100.0), opts)
+    tol = 1e-10
+    est = estimate_distance_upper(basis.generators, (0, 0, 100.0), residual_tol=tol)
     scale = max(1.0, math.sqrt(sum(abs(c) ** 2 for c in est.landed)))
     for g in basis.generators:
         d = total_degree(g)
-        assert abs(evaluate_complex(g, est.landed)) / scale**d < opts.residual_tol
+        assert abs(evaluate_complex(g, est.landed)) / scale**d < tol
     landed_dist = math.sqrt(sum(abs(a - b) ** 2
                                 for a, b in zip((0, 0, 100.0), est.landed)))
     assert est.bound == landed_dist
@@ -567,10 +566,13 @@ def test_distance_report_non_cone_direction_fails(five_lines):
         assert r >= 0.5
 
 
-def test_distance_report_inconclusive_when_solver_cannot_land():
+def test_distance_report_fails_on_whole_ring():
+    # The solver cannot land on an empty V; the constant generator decides.
     ctx = VariableContext(("u",))
     u, = variables(ctx)
     basis = buchberger([u**2 + 1, u**2 + 2], GREVLEX)
     report = distance_ratio_report(basis.generators, (1,), TSchedule(10, 10, 3))
-    assert report.verdict == "inconclusive"
+    assert report.verdict == "fail"
+    assert report.diagnostics == "a generator is a nonzero constant: V is empty"
     assert all(r is None for _, r in report.samples)
+    assert report.fitted_decay_exponent is None

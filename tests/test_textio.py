@@ -68,26 +68,55 @@ def test_implicit_multiplication_rejected():
     assert info.value.line == 2
 
 
-@pytest.mark.parametrize("text,fragment", [
-    ("poly x\n", "before vars-line"),
-    ("vars x\nvars y\npoly x\n", "duplicate vars-line"),
-    ("vars x x\npoly x\n", "duplicate variable"),
-    ("vars x\npoly x^-2\n", "natural-number exponent"),
-    ("vars x\npoly x^(2)\n", "natural-number exponent"),
-    ("vars x\npoly 1.5*x\n", "unexpected character"),
-    ("vars x\npoly x y\n", "unexpected"),
-    ("vars x\npoly (x\n", "expected ')'"),
-    ("vars x\npoly x +\n", "unexpected end"),
-    ("vars x\npoly 1/0\n", "zero denominator"),
-    ("vars x\n", "no nonzero polynomial"),
-    ("vars x\npoly x - x\n", "no nonzero polynomial"),
-    ("", "missing vars-line"),
-    ("ideal x\n", "expected 'vars' or 'poly'"),
+@pytest.mark.parametrize("text,expected", [
+    pytest.param("poly x\n", "<input>:1:1: poly-line before vars-line",
+                 id="poly x\n-before vars-line"),
+    pytest.param("vars x\nvars y\npoly x\n", "<input>:2:1: duplicate vars-line",
+                 id="vars x\nvars y\npoly x\n-duplicate vars-line"),
+    pytest.param("vars x x\npoly x\n", "<input>:1:1: duplicate variable in vars-line",
+                 id="vars x x\npoly x\n-duplicate variable"),
+    pytest.param("vars x\npoly x^-2\n",
+                 "<input>:2:8: '^' requires a natural-number exponent",
+                 id="vars x\npoly x^-2\n-natural-number exponent"),
+    pytest.param("vars x\npoly x^(2)\n",
+                 "<input>:2:8: '^' requires a natural-number exponent",
+                 id="vars x\npoly x^(2)\n-natural-number exponent"),
+    pytest.param("vars x\npoly 1.5*x\n", "<input>:2:7: unexpected character '.'",
+                 id="vars x\npoly 1.5*x\n-unexpected character"),
+    pytest.param("vars x\npoly x y\n", "<input>:2:8: unexpected 'y'",
+                 id="vars x\npoly x y\n-unexpected"),
+    pytest.param("vars x\npoly (x\n", "<input>:2:8: expected ')'",
+                 id="vars x\npoly (x\n-expected ')'"),
+    pytest.param("vars x\npoly x +\n", "<input>:2:9: unexpected end of expression",
+                 id="vars x\npoly x +\n-unexpected end"),
+    pytest.param("vars x\npoly 1/0\n", "<input>:2:8: zero denominator",
+                 id="vars x\npoly 1/0\n-zero denominator"),
+    pytest.param("vars x\n", "<input>:1:1: no nonzero polynomial",
+                 id="vars x\n-no nonzero polynomial"),
+    pytest.param("vars x\npoly x - x\n", "<input>:1:1: no nonzero polynomial",
+                 id="vars x\npoly x - x\n-no nonzero polynomial"),
+    pytest.param("", "<input>:1:1: missing vars-line", id="-missing vars-line"),
+    pytest.param("ideal x\n", "<input>:1:1: expected 'vars' or 'poly', got 'ideal'",
+                 id="ideal x\n-expected 'vars' or 'poly'"),
+    # Columns count from the start of the raw line, keyword and indent included.
+    pytest.param("vars x \u00e9\npoly x\n", "<input>:1:8: unexpected character '\u00e9'",
+                 id="unexpected character on a vars-line"),
+    pytest.param("vars x\n   poly  x ?\n", "<input>:2:12: unexpected character '?'",
+                 id="unexpected character after an indented poly"),
+    pytest.param("vars x 2\n", "<input>:1:8: expected variable name, got '2'",
+                 id="number on a vars-line"),
+    pytest.param("  vars\n", "<input>:1:7: vars-line needs at least one variable",
+                 id="empty vars-line"),
+    pytest.param("vars x\npoly 2/x\n",
+                 "<input>:2:8: '/' requires a natural-number denominator",
+                 id="variable denominator"),
+    pytest.param("vars x\npoly x)  \n", "<input>:2:7: unexpected ')'",
+                 id="stray closing parenthesis"),
 ])
-def test_parse_negative_corpus(text, fragment):
+def test_parse_negative_corpus(text, expected):
     with pytest.raises(ParseError) as info:
         parse_ideal(text)
-    assert fragment in str(info.value)
+    assert str(info.value) == expected
 
 
 def test_parse_error_positions():
@@ -98,7 +127,19 @@ def test_parse_error_positions():
     assert err.column == 10  # the q, 1-based within the raw line
     with pytest.raises(ParseError) as info:
         parse_ideal("vars x\npoly x ?\n")
-    assert info.value.line == 2
+    assert (info.value.line, info.value.column) == (2, 8)
+
+
+def test_parse_nesting_cap(xy):
+    ctx, x, y = xy
+    ideal = parse_ideal("vars x y\npoly " + "(" * 100 + "x - y" + ")" * 100 + "\n")
+    assert ideal.polynomials == (x - y,)
+    text = "vars x y\npoly -" + "(" * 101 + "x" + ")" * 101 + "\n"
+    with pytest.raises(ParseError) as info:
+        parse_ideal(text)
+    assert str(info.value) == "<input>:2:107: parentheses nested deeper than 100"
+    line = text.splitlines()[1]
+    assert line[107 - 1] == "(" and line[:107].count("(") == 101  # the 101st
 
 
 def test_parse_zero_line_allowed_among_nonzero(xy):
