@@ -1,51 +1,49 @@
 """Tangent cone at infinity of an affine variety from ideal generators.
 
-The pipeline: compute a reduced Groebner basis of the input ideal under
-a degree-compatible order, take the top-degree form of each basis
-element and canonicalize the resulting homogeneous generators.  The
-top-degree form of g is what homogenizing g with a new variable and
-then setting that variable to 0 leaves; the tests pin this identity.
-The zero set of the result is the cone, radical input or not: the
-top-degree form of f^k is the k-th power of that of f, so the forms of
-I and of its radical have the same zero set.
+The pipeline: compute the reduced Groebner basis of the input ideal
+under a degree-compatible order and take the top-degree form of each
+element, in basis order.  The forms generate the ideal of top forms of
+I (Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, Ch. 8
+Sec. 4) and already are its reduced basis.  The top-degree form of g is
+what homogenizing g with a new variable and then setting that variable
+to 0 leaves; the tests pin this identity.  The zero set of the result
+is the cone, radical input or not: the top-degree form of f^k is the
+k-th power of that of f, so the forms of I and of its radical have the
+same zero set.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .groebner import Basis, buchberger, reduce_basis
+from .groebner import Basis, buchberger
 from .polyring import MonomialOrder, Polynomial, evaluate_exact, leading_form
 
 
-class ConeDescription:
-    """Homogeneous generators cutting out the tangent cone at infinity."""
+class ConeDescription(NamedTuple):
+    """Homogeneous generators cutting out the tangent cone at infinity,
+    with the reduced basis of the input ideal they were taken from."""
 
-    __slots__ = ("generators", "source_order", "source_basis")
-
-    def __init__(self, generators: Basis, source_order: MonomialOrder,
-                 source_basis: Basis):
-        for g in generators:
-            if not g.is_homogeneous():
-                raise ValueError("cone generator is not homogeneous")
-        self.generators = generators
-        self.source_order = source_order
-        self.source_basis = source_basis
+    generators: Basis
+    source_basis: Basis
 
 
 def tangent_cone_at_infinity(F: Sequence[Polynomial], order: MonomialOrder) -> ConeDescription:
     """Generators of the ideal cutting out the tangent cone at infinity.
 
-    Requires a degree-compatible order.  Takes the top-degree form of
-    each reduced basis element, which equals homogenizing it and setting
-    the new variable to 0, and returns the reduced basis of those forms.
+    Requires a degree-compatible order.  Returns the top-degree form of
+    each reduced basis element, in basis order, which is the reduced
+    basis of the forms' ideal: under a degree-compatible order each
+    element's leading monomial has the top degree, so its form keeps
+    that leading monomial and coefficient 1, and the form's monomials
+    are a subset of the element's.  The forms are therefore monic,
+    minimal, inter-reduced and sorted, as the basis was.
     """
     if not order.degree_compatible:
         raise ValueError(f"order {order.kind!r} is not degree-compatible")
     basis = buchberger(F, order)
-    forms = [leading_form(g) for g in basis]
-    return ConeDescription(generators=reduce_basis(forms, order),
-                           source_order=order, source_basis=basis)
+    forms = Basis(tuple(leading_form(g) for g in basis), order)
+    return ConeDescription(generators=forms, source_basis=basis)
 
 
 def cone_membership(cone: ConeDescription, v) -> bool:

@@ -48,23 +48,21 @@ class ZeroIdealError(ValueError):
 class Basis:
     """An ordered generating set under a fixed monomial order.
 
-    Immutable; equal and hashed by (generators, order, reduced).
+    Immutable; equal and hashed by (generators, order).
     """
 
-    def __init__(self, generators: tuple[Polynomial, ...], order: MonomialOrder,
-                 reduced: bool = False):
-        self.__dict__.update(generators=generators, order=order, reduced=reduced)
+    def __init__(self, generators: tuple[Polynomial, ...], order: MonomialOrder):
+        self.__dict__.update(generators=generators, order=order)
 
     def __setattr__(self, name, value):
         raise AttributeError("Basis is immutable")
 
     def __eq__(self, other):
         return isinstance(other, Basis) and (
-            (self.generators, self.order, self.reduced)
-            == (other.generators, other.order, other.reduced))
+            (self.generators, self.order) == (other.generators, other.order))
 
     def __hash__(self):
-        return hash((self.generators, self.order, self.reduced))
+        return hash((self.generators, self.order))
 
     def __iter__(self):
         return iter(self.generators)
@@ -237,7 +235,7 @@ def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
 
     G = [monic(f, order) for f in gens]
     if any(g.is_constant() for g in G):
-        return Basis((constant(ctx, 1),), order, reduced=True)
+        return Basis((constant(ctx, 1),), order)
 
     key = order.exponent_key
     R = _reducers(G, order)
@@ -265,7 +263,7 @@ def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
         new_reducer = _reducer(r, key)
         lead = new_reducer[0]
         if not any(lead):
-            return Basis((constant(ctx, 1),), order, reduced=True)
+            return Basis((constant(ctx, 1),), order)
         lc = r[lead]
         G.append(_raw(ctx, {e: Fraction(c, lc) for e, c in r.items()}))
         R.append(new_reducer)
@@ -298,7 +296,7 @@ def reduce_basis(G: Sequence[Polynomial], order: MonomialOrder) -> Basis:
     # The leading monomials of a minimal basis are distinct and already ascending.
     reduced = [_normal_form(g, reducers[:k] + reducers[k + 1:], key)
                if len(minimal) > 1 else g for k, g in enumerate(minimal)]
-    return Basis(tuple(reduced), order, reduced=True)
+    return Basis(tuple(reduced), order)
 
 
 def ideal_member(f: Polynomial, basis: Basis) -> bool:

@@ -54,32 +54,19 @@ class TSchedule:
         return [self.t0 * self.factor ** k for k in range(self.steps)]
 
 
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Numeric evidence record for one ray or sampling experiment."""
 
-    __slots__ = ("kind", "samples", "fitted_decay_exponent", "verdict", "diagnostics",
-                 "seed", "schedule", "direction", "radius", "trials")
-
-    def __init__(self, kind: str,  # "ratio" | "distance" | "sample"
-                 samples: tuple[tuple[float, float | None], ...],
-                 fitted_decay_exponent: float | None,
-                 verdict: str,  # "pass" | "fail" | "inconclusive"
-                 diagnostics: str, seed: int | None = None,
-                 schedule: TSchedule | None = None,
-                 direction: ComplexPoint | None = None,
-                 radius: float | None = None, trials: int | None = None):
-        if not samples:
-            raise ValueError("a report needs at least one sample")
-        self.kind = kind
-        self.samples = samples
-        self.fitted_decay_exponent = fitted_decay_exponent
-        self.verdict = verdict
-        self.diagnostics = diagnostics
-        self.seed = seed
-        self.schedule = schedule
-        self.direction = direction
-        self.radius = radius
-        self.trials = trials
+    kind: str  # "ratio" | "distance" | "sample"
+    samples: tuple[tuple[float, float | None], ...]
+    fitted_decay_exponent: float | None
+    verdict: str  # "pass" | "fail" | "inconclusive"
+    diagnostics: str
+    seed: int | None = None
+    schedule: TSchedule | None = None
+    direction: ComplexPoint | None = None
+    radius: float | None = None
+    trials: int | None = None
 
 
 # The damped least-squares distance estimator's fixed settings.
@@ -308,8 +295,8 @@ def _far_points(f: Polynomial, radius: float, trials: int,
         raise ValueError("sampling needs at least two variables")
     if f.is_zero() or f.is_constant():
         raise ValueError("sampling needs a nonconstant polynomial")
-    if not (radius > 0 and math.isfinite(radius)):
-        raise ValueError("the radius must be positive and finite")
+    if not 1 <= radius < math.inf:
+        raise ValueError("the radius must be at least 1 and finite")
     # f compiled once in scaled form: term t contributes
     # scaled[t] * exp(i * sum_k e_tk * theta_k) * w**e_tj
     d = total_degree(f)
@@ -317,13 +304,10 @@ def _far_points(f: Polynomial, radius: float, trials: int,
         exps = np.array(list(f.terms), dtype=np.int64)
     except OverflowError:
         raise ValueError("far sampling needs exponents below 2**63") from None
-    try:
-        scaled = np.array([_coefficient(c) * radius ** (sum(e) - d)
-                           for e, c in f.terms.items()])
-        in_range = np.isfinite(scaled).all()
-    except OverflowError:  # only when R < 1
-        in_range = False
-    if not in_range:
+    # R >= 1 makes every factor R**(|e| - d) at most 1.
+    scaled = np.array([_coefficient(c) * radius ** (sum(e) - d)
+                       for e, c in f.terms.items()])
+    if not np.isfinite(scaled).all():
         raise ValueError(f"coefficients scaled to radius {radius:g} leave double precision")
 
     free = np.arange(trials) % n
@@ -374,8 +358,9 @@ def sample_far_directions(f: Polynomial, radius: float, trials: int,
     others are fixed to R*u_k, with u_k random unit complex scalars.
     The restriction is solved in the scaled variable w = z_j/R: divided
     by R**deg f, a term c*z**e becomes c*R**(|e| - deg f)*prod u_k**e_k
-    * w**e_j.  For R >= 1 no coefficient grows, and the top-degree
-    terms, which decide the far directions, keep their size.  All
+    * w**e_j.  R must be at least 1 and finite, so no coefficient
+    grows, and the top-degree terms, which decide the far directions,
+    keep their size; below 1 the lower terms would swamp them.  All
     trials of one degree are solved together by the batched Aberth
     solver; points with ||(u, w)|| >= 1 (the rule ||z|| >= R) are
     normalized and kept, in the order of trials, then roots.

@@ -17,14 +17,16 @@ Ideal file grammar (one construct per line)::
 Exactly one vars-line, before any poly-line.  Multiplication is always
 explicit: ``xy`` is a single identifier, never a product.  Coefficients
 are exact rationals; floating literals are rejected.  Parentheses nest
-at most 100 deep.  Errors name a line and a 1-based column in the raw
-line.  All rendering is deterministic so identical inputs produce
-byte-identical output.
+at most 100 deep, and a number may not pass the interpreter's
+integer-string digit limit.  Errors name a line and a 1-based column in
+the raw line.  All rendering is deterministic so identical inputs
+produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
@@ -100,6 +102,12 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
     def fail(message: str, tok: _Token):
         raise ParseError(message, lineno, tok[2], source)
 
+    def number(tok: _Token) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:  # beyond the interpreter's int-string digit limit
+            fail(f"number longer than {sys.get_int_max_str_digits()} digits", tok)
+
     def expr(depth: int) -> Polynomial:
         negate = ahead[-1][0] == "-"
         if negate:
@@ -127,22 +135,24 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
             exponent = ahead.pop()
             if exponent[0] != "nat":
                 fail("'^' requires a natural-number exponent", exponent)
-            p = p ** int(exponent[1])
+            p = p ** number(exponent)
         return p
 
     def base(depth: int) -> Polynomial:
         tok = ahead.pop()
         kind, value, _ = tok
         if kind == "nat":
+            num = number(tok)
             if ahead[-1][0] != "/":
-                return constant(context, int(value))
+                return constant(context, num)
             ahead.pop()
             den = ahead.pop()
             if den[0] != "nat":
                 fail("'/' requires a natural-number denominator", den)
-            if int(den[1]) == 0:
+            d = number(den)
+            if d == 0:
                 fail("zero denominator", den)
-            return constant(context, Fraction(int(value), int(den[1])))
+            return constant(context, Fraction(num, d))
         if kind == "ident":
             if value not in context.names:
                 fail(f"unknown identifier \"{value}\"", tok)

@@ -200,6 +200,13 @@ def test_verify_sample_refuses_multiple_generators(capsys):
     assert "hypersurface" in err
 
 
+def test_verify_sample_radius_below_one_is_one_line(capsys):
+    code, out, err = run(capsys, ["verify", "sample", CUSP, "--radius", "0.5"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: the radius must be at least 1 and finite\n"
+
+
 def test_verify_sample_exponent_beyond_int64_is_one_line(capsys, tmp_path):
     path = ideal_file(tmp_path, "vars x y\npoly x^99999999999999999999 - y\n")
     code, out, err = run(capsys, ["verify", "sample", path, "--trials", "3"])

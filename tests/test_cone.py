@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from tcone.cone import cone_membership, naive_leading_form_set, tangent_cone_at_infinity
-from tcone.groebner import buchberger, ideal_equal, ideal_member
+from tcone.groebner import buchberger, ideal_equal, ideal_member, reduce_basis
 from tcone.polyring import (
     GREVLEX,
+    GRLEX,
     LEX,
     Polynomial,
     VariableContext,
@@ -150,6 +151,27 @@ def test_cone_sum_ideal_is_origin(xy):
     assert cone_membership(cone, (0, 0))
     assert not cone_membership(cone, (0, 1))
     assert not cone_membership(cone, (1, 0))
+
+
+def test_cone_forms_are_already_reduced(standard_system):
+    # tangent_cone_at_infinity returns the top-degree forms of the reduced
+    # basis without reducing them again: under a degree-compatible order
+    # they are their own reduced basis, term order included, which the
+    # numeric layer follows when it evaluates a generator term by term.
+    name, F = standard_system
+    ctx = VariableContext(("x", "y", "z"))
+    rng = random.Random(name)
+    ideals = [F] + [[random_poly(ctx, rng, max_degree=4, max_terms=5)
+                     for _ in range(rng.randint(2, 3))] for _ in range(20)]
+    for order in (GREVLEX, GRLEX):
+        for ideal in ideals:
+            if all(f.is_zero() for f in ideal):
+                continue
+            cone = tangent_cone_at_infinity(ideal, order).generators
+            again = reduce_basis(list(cone), order)
+            assert again == cone
+            assert [list(g.terms) for g in again] == [list(g.terms) for g in cone]
+            assert all(g.is_homogeneous() for g in cone)
 
 
 def power_in(f, basis, up_to=4):

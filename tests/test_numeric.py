@@ -383,13 +383,17 @@ def test_sampling_rejects_bad_inputs(xy):
 
 
 def test_sampling_rejects_bad_radius(xy):
+    # Below R = 1 the scaled coefficients R**(|e| - deg f) grow and swamp
+    # the top form, so no verdict there would mean anything.
     ctx, x, y = xy
-    for radius in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            sample_far_directions(x**2 - y**3, radius, 5, seed=0)
-    # scaled by R**-60, the constant term becomes 1e600 at R = 1e-10
-    with pytest.raises(ValueError):
-        sample_far_directions(x**60 - y**59 + 1, 1e-10, 5, seed=0)
+    for f in (x**2 - y**3, x**60 - y**59 + 1):
+        for radius in (0.0, -1.0, 0.5, 1e-3, 1e-10, math.inf, math.nan):
+            with pytest.raises(ValueError, match="at least 1 and finite"):
+                sample_far_directions(f, radius, 5, seed=0)
+        assert sample_far_directions(f, 1.0, 5, seed=0).radius == 1.0
+    # a coefficient beyond double range is refused at any radius
+    with pytest.raises(ValueError, match="leave double precision"):
+        sample_far_directions(10**400 * x**2 - y**3, 1e6, 5, seed=0)
 
 
 def test_sample_report_degree_8_surface_far_out(xyz):
@@ -576,3 +580,13 @@ def test_distance_report_fails_on_whole_ring():
     assert report.diagnostics == "a generator is a nonzero constant: V is empty"
     assert all(r is None for _, r in report.samples)
     assert report.fitted_decay_exponent is None
+
+
+@pytest.mark.parametrize("report", [loj_ratio_schedule, distance_ratio_report])
+def test_non_radical_cone_reports(xy, report):
+    # <(y - x^2)^2> is not radical; its cone is V(x^4) = V(x), and both ray
+    # reports see that: the direction (0, 1) lies in it and (1, 1) does not.
+    ctx, x, y = xy
+    basis = buchberger([(y - x**2)**2], GREVLEX)
+    assert report(basis.generators, (0, 1), TSchedule()).verdict == "pass"
+    assert report(basis.generators, (1, 1), TSchedule()).verdict == "fail"

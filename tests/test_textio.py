@@ -112,6 +112,10 @@ def test_implicit_multiplication_rejected():
                  id="variable denominator"),
     pytest.param("vars x\npoly x)  \n", "<input>:2:7: unexpected ')'",
                  id="stray closing parenthesis"),
+    pytest.param("vars x\npoly x + " + "7" * 5000 + "\n",
+                 "<input>:2:10: number longer than 4300 digits", id="long coefficient"),
+    pytest.param("vars x\npoly x^" + "7" * 5000 + " + 1\n",
+                 "<input>:2:8: number longer than 4300 digits", id="long exponent"),
 ])
 def test_parse_negative_corpus(text, expected):
     with pytest.raises(ParseError) as info:
