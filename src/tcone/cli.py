@@ -165,71 +165,71 @@ def verify_sample(args) -> int:
     return _emit_report(report, args.json)
 
 
-def _parser() -> argparse.ArgumentParser:
-    """The command tree.  Each command's parser sets ``run`` to its function."""
+def _parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The command tree.  Each command's parser sets ``run`` to its function.
+
+    Every command is listed, but only one named in argv gets its arguments:
+    adding them all took about a millisecond on every call.
+    """
+    named = [arg for arg in argv if arg[:1] != "-"][:2]  # a command, or verify and its kind
+
     def add(commands, name, doc):
         parser = commands.add_parser(name, help=doc, description=doc,
                                      add_help=False, allow_abbrev=False)
         parser.add_argument("--help", action="help", help="Show this message and exit.")
         return parser
 
-    def command(commands, name, run, order=True):
+    def command(commands, name, run, *options, order=True):
+        """``options`` are (flag, type, default, help); no default makes one required."""
         parser = add(commands, name, run.__doc__)
+        parser.set_defaults(run=run)
+        if name not in named:
+            return
         parser.add_argument("ideal_file", metavar="IDEAL_FILE", type=_ideal_file)
         if order:
             parser.add_argument("--order", default="grevlex", choices=sorted(ORDERS_BY_NAME),
                                 help="Monomial order. (default: %(default)s)")
         parser.add_argument("--json", action="store_true", help="Emit JSON instead of text.")
-        parser.set_defaults(run=run)
-        return parser
+        for flag, kind, default, text in options:
+            if default is None:
+                parser.add_argument(flag, required=True, help=text)
+            else:
+                parser.add_argument(flag, type=kind, default=default,
+                                    help=f"{text} (default: %(default)s)".lstrip())
 
-    def option(parser, name, type, default, help=""):
-        parser.add_argument(name, type=type, default=default,
-                            help=f"{help} (default: %(default)s)".lstrip())
-
-    def ray(parser):
-        parser.add_argument("--direction", required=True, help="Ray direction, e.g. '0,0,1'.")
-        option(parser, "--t0", float, 10.0)
-        option(parser, "--factor", float, 10.0)
-        option(parser, "--steps", int, 5)
-
+    ray = [("--direction", str, None, "Ray direction, e.g. '0,0,1'."),
+           ("--t0", float, 10.0, ""), ("--factor", float, 10.0, ""), ("--steps", int, 5, "")]
     top = _Parser(prog="tcone", add_help=False, allow_abbrev=False,
                   description="Tangent cones at infinity of affine complex varieties.")
     top.add_argument("--help", action="help", help="Show this message and exit.")
     commands = top.add_subparsers(metavar="COMMAND", required=True)
     command(commands, "gb", gb)
     command(commands, "cone", cone)
-    p = command(commands, "member", member)
-    p.add_argument("--point", required=True, help="Exact rational point, e.g. '0,0,1'.")
-
+    command(commands, "member", member,
+            ("--point", str, None, "Exact rational point, e.g. '0,0,1'."))
     kinds = add(commands, "verify", "Numeric cross-validation of the cone against its "
                 "definition.").add_subparsers(metavar="COMMAND", required=True)
-    p = command(kinds, "ratio", verify_ratio)
-    ray(p)
-    option(p, "--pass-decay", float, 0.5, "r(last)/r(first) bound for a pass.")
-    option(p, "--plateau-tol", float, 0.1,
-           "Relative variation over the last three steps for a fail.")
-    p = command(kinds, "distance", verify_distance)
-    ray(p)
-    option(p, "--seed", int, 42)
-    option(p, "--residual-tol", float, 1e-10,
-           "Normalized residual below which a landing counts as on V.")
-    option(p, "--pass-decay", float, 0.5)
-    option(p, "--plateau-tol", float, 0.1)
-    p = command(kinds, "sample", verify_sample, order=False)
-    option(p, "--radius", float, 1e6)
-    option(p, "--trials", int, 100)
-    option(p, "--seed", int, 42)
-    option(p, "--sample-tol", float, 1e-2, "Top-form residual bound counted as consistent.")
-    option(p, "--min-fraction", float, 0.95,
-           "Fraction of directions that must be consistent for a pass.")
+    command(kinds, "ratio", verify_ratio, *ray,
+            ("--pass-decay", float, 0.5, "r(last)/r(first) bound for a pass."),
+            ("--plateau-tol", float, 0.1,
+             "Relative variation over the last three steps for a fail."))
+    command(kinds, "distance", verify_distance, *ray, ("--seed", int, 42, ""),
+            ("--residual-tol", float, 1e-10,
+             "Normalized residual below which a landing counts as on V."),
+            ("--pass-decay", float, 0.5, ""), ("--plateau-tol", float, 0.1, ""))
+    command(kinds, "sample", verify_sample, ("--radius", float, 1e6, ""),
+            ("--trials", int, 100, ""), ("--seed", int, 42, ""),
+            ("--sample-tol", float, 1e-2, "Top-form residual bound counted as consistent."),
+            ("--min-fraction", float, 0.95,
+             "Fraction of directions that must be consistent for a pass."), order=False)
     return top
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(_attach_values(argv))
+        argv = _attach_values(argv)
+        args = _parser(argv).parse_args(argv)
         return args.run(args)
     except SystemExit:  # --help printed the help text
         return 0

@@ -15,8 +15,9 @@ report is bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .polyring import Polynomial, differentiate, total_degree, leading_form
 
@@ -26,7 +27,11 @@ from .polyring import Polynomial, differentiate, total_degree, leading_form
 ComplexPoint = tuple[complex, ...]
 # A polynomial compiled for repeated evaluation: one (coefficient,
 # ((variable index, exponent), ...)) entry per term, in f.terms order,
-# listing only the nonzero exponents.
+# listing only the nonzero exponents.  _evaluator turns a list of them into
+# one generated straight-line function, whose values are bit for bit those
+# of the term loop (v = c; v *= x_i ** e ...; total += v, from 0j) that
+# tests/test_numeric.py keeps as the reference: the same products and sums
+# in the same order, with each power computed once.
 Compiled = tuple[tuple[complex, tuple[tuple[int, int], ...]], ...]
 
 PASS = "pass"
@@ -106,35 +111,65 @@ def _coefficient(c) -> complex:
 
 
 def _compile(f: Polynomial) -> Compiled:
-    """f with float coefficients and sparse exponents, for _evaluate."""
+    """f with float coefficients and sparse exponents, for _evaluator."""
     return tuple((_coefficient(c), tuple((i, k) for i, k in enumerate(e) if k))
                  for e, c in f.terms.items())
 
 
-def _evaluate(compiled: Compiled, xs: Sequence[complex]) -> complex:
-    """Floating evaluation of a compiled polynomial, term by term.
+_OVERFLOW = "evaluation overflowed double precision"
 
-    ``xs`` holds Python complex numbers; callers convert each point once.
+
+@functools.lru_cache(maxsize=64)
+def _compiled_source(source: str):
+    """The code object of an evaluator's source.  The source depends only
+    on the exponents, so the estimator's calls along one ray, which differ
+    only in the start point, compile it once."""
+    return compile(source, "<evaluator>", "exec")
+
+
+def _evaluator(polys: Sequence[Compiled], n: int) -> Callable[..., tuple[complex, ...]]:
+    """One function of x0..x{n-1} (Python complex) returning the value of each of ``polys``.
+
+    The function is generated straight-line code: each power x_i ** e is
+    computed once, and each value is summed from 0j in the compiled term
+    order, every term as c * p * p ..., so each value is bit for bit the
+    term loop's.  The source holds indices and exponents only; the
+    coefficients are bound through the namespace.  It raises
+    EvaluationOverflowError when a power overflows or a value is not
+    finite.
     """
-    total = 0j
-    try:
-        for coeff, powers in compiled:
-            v = coeff
-            for i, e in powers:
-                v *= xs[i] ** e
-            total += v
-    except OverflowError as err:
-        raise EvaluationOverflowError("evaluation overflowed double precision") from err
-    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
-        raise EvaluationOverflowError("evaluation overflowed double precision")
-    return total
+    namespace = {"isfinite": math.isfinite, "Overflow": EvaluationOverflowError,
+                 "MESSAGE": _OVERFLOW}
+    powers: dict[tuple[int, int], str] = {}  # (i, e) -> the local holding x_i ** e
+    sums = []
+    for k, poly in enumerate(polys):
+        sums.append(f"v{k} = 0j")
+        for t, (c, exps) in enumerate(poly):
+            namespace[f"c{k}_{t}"] = c
+            factors = [f"c{k}_{t}"] + [powers.setdefault((i, e), f"x{i}_{e}") for i, e in exps]
+            sums.append(f"v{k} += {' * '.join(factors)}")
+    source = "\n".join([
+        f"def evaluate({', '.join(f'x{i}' for i in range(n))}):",
+        "    try:",
+        *(f"        {name} = x{i} ** {e}" for (i, e), name in powers.items()),
+        "        pass",  # the block needs a statement when no power is taken
+        "    except OverflowError as err:",
+        "        raise Overflow(MESSAGE) from err",
+        *(f"    {line}" for line in sums),
+        f"    values = ({''.join(f'v{k}, ' for k in range(len(polys)))})",
+        "    for v in values:",
+        "        if not (isfinite(v.real) and isfinite(v.imag)):",
+        "            raise Overflow(MESSAGE)",
+        "    return values"])
+    exec(_compiled_source(source), namespace)
+    return namespace["evaluate"]
 
 
 def evaluate_complex(f: Polynomial, point: Sequence[complex]) -> complex:
     """Floating evaluation of f at point, term by term."""
     if len(point) != f.context.n:
         raise ValueError(f"point has {len(point)} entries, expected {f.context.n}")
-    return _evaluate(_compile(f), [complex(x) for x in point])
+    return _evaluator([_compile(f)], f.context.n)(*[complex(x) for x in point])[0]
 
 
 # Most complex entries in one block of the pairwise differences z_i - z_j
@@ -449,15 +484,15 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
     if all(z == 0 for z in v):
         raise ValueError("direction must be nonzero")
     degrees = [total_degree(g) for g in gens]
-    compiled = [_compile(g) for g in gens]
+    evaluate = _evaluator([_compile(g) for g in gens], gens[0].context.n)
     samples: list[tuple[float, float | None]] = []
     overflow_at = None
     empty = 0 in degrees
     for t in sched.values():
-        point = tuple(t * complex(z) for z in v)
+        point = [t * complex(z) for z in v]
         try:
-            r = None if empty else max(abs(_evaluate(g, point)) ** (1.0 / d)
-                                       for g, d in zip(compiled, degrees)) / t
+            r = None if empty else max(abs(g) ** (1.0 / d)
+                                       for g, d in zip(evaluate(*point), degrees)) / t
         except EvaluationOverflowError:
             overflow_at = t
             samples.append((t, None))
@@ -493,8 +528,8 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
 # -- distance estimation ------------------------------------------------
 
 
-def _residual_at(gens: Sequence[Compiled], degrees: Sequence[int], tol: float,
-                 point: np.ndarray) -> tuple[np.ndarray, bool]:
+def _residual_at(evaluate: Callable[..., tuple[complex, ...]], degrees: Sequence[int],
+                 tol: float, point: np.ndarray) -> tuple[np.ndarray, bool]:
     """The real residual vector of the generators at point, and whether it lands.
 
     One evaluation of each generator serves both.  The point lands on V
@@ -504,32 +539,32 @@ def _residual_at(gens: Sequence[Compiled], degrees: Sequence[int], tol: float,
     precision.
     """
     import numpy as np
-    xs = [complex(x) for x in point]
-    values = [_evaluate(g, xs) for g in gens]
-    scale = max(1.0, _norm(point))
+    xs = point.tolist()
+    values = evaluate(*xs)
+    scale = max(1.0, _norm(xs))
     if scale == math.inf:  # inf**d would let every point land
         raise EvaluationOverflowError("the norm overflowed double precision")
     try:
         lands = all(abs(v) / scale ** d < tol for v, d in zip(values, degrees))
     except OverflowError as err:
         raise EvaluationOverflowError("normalization overflowed double precision") from err
-    out = []
-    for v in values:
-        out += (v.real, v.imag)
-    return np.array(out), lands
+    return np.array(values).view(float), lands  # (re g_0, im g_0, re g_1, ...)
 
 
-def _real_jacobian(jac_polys: Sequence[Sequence[Compiled]], point: np.ndarray) -> np.ndarray:
+def _real_jacobian(evaluate: Callable[..., tuple[complex, ...]], n: int,
+                   point: np.ndarray) -> np.ndarray:
+    """The real Jacobian of the residual vector at point.
+
+    ``evaluate`` gives the partials dg_i/dz_j row by row; each fills the
+    2x2 block [[re, -im], [im, re]] of rows 2i, 2i+1 and columns 2j, 2j+1.
+    """
     import numpy as np
-    xs = [complex(x) for x in point]
+    values = evaluate(*point.tolist())
     rows = []
-    for row in jac_polys:
-        re_row, im_row = [], []
-        for dg in row:
-            d = _evaluate(dg, xs)
-            re_row += (d.real, -d.imag)
-            im_row += (d.imag, d.real)
-        rows += (re_row, im_row)
+    for k in range(0, len(values), n):
+        row = values[k:k + n]
+        rows.append([x for d in row for x in (d.real, -d.imag)])
+        rows.append([x for d in row for x in (d.imag, d.real)])
     return np.array(rows)
 
 
@@ -555,11 +590,11 @@ def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
     if len(x0) != n:
         raise ValueError(f"start point has {len(x0)} entries, expected {n}")
     degrees = [total_degree(g) for g in gens]
-    jac_polys = [[_compile(differentiate(g, j)) for j in range(n)] for g in gens]
-    gens = [_compile(g) for g in gens]
+    partials = _evaluator([_compile(differentiate(g, j)) for g in gens for j in range(n)], n)
+    evaluate = _evaluator([_compile(g) for g in gens], n)
 
-    def residual_at(z: np.ndarray) -> tuple[np.ndarray, bool]:
-        return _residual_at(gens, degrees, residual_tol, z)
+    residual_at = functools.partial(_residual_at, evaluate, degrees, residual_tol)
+    jacobian = functools.partial(_real_jacobian, partials, n)
 
     starts = [x0]
     base_norm = _norm(x0)
@@ -578,10 +613,10 @@ def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
     eye = np.eye(2 * n)
     for start in starts:
         with np.errstate(all="ignore"):  # far out, J.T @ J may overflow: no warning
-            landed = _levenberg_run(residual_at, jac_polys, start, eye)
+            landed = _levenberg_run(residual_at, jacobian, start, eye)
             if landed is None:
                 continue
-            landed = _tangential_polish(residual_at, jac_polys, x0, landed, eye)
+            landed = _tangential_polish(residual_at, jacobian, x0, landed, eye)
             bound = _dist(x0, landed)
         if bound < best_bound:
             best_bound = bound
@@ -593,7 +628,16 @@ def _dist(a: Sequence[complex], b: Sequence[complex]) -> float:
     return _norm([x - y for x, y in zip(a, b)])
 
 
-def _tangential_polish(residual_at, jac_polys, x0, landed, eye) -> ComplexPoint:
+def _vector_norm(x: np.ndarray) -> float:
+    """float(np.linalg.norm(x)) for a 1-D array, bit for bit, without its
+    wrapper: the square root of the same dot products."""
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
+def _tangential_polish(residual_at, jacobian, x0, landed, eye) -> ComplexPoint:
     """Slide a landed point along the variety toward x0.
 
     Alternates a step toward x0 projected onto the tangent space of the
@@ -605,7 +649,7 @@ def _tangential_polish(residual_at, jac_polys, x0, landed, eye) -> ComplexPoint:
     import numpy as np
     z = np.array(landed, dtype=complex)
     target = np.array(x0, dtype=complex)
-    best = float(np.linalg.norm(z - target))
+    best = _vector_norm(z - target)
     if best == 0:
         return landed
     for _ in range(_POLISH_CYCLES):
@@ -613,10 +657,10 @@ def _tangential_polish(residual_at, jac_polys, x0, landed, eye) -> ComplexPoint:
         d_real = np.empty(2 * len(z))
         d_real[0::2] = d.real
         d_real[1::2] = d.imag
-        J = _real_jacobian(jac_polys, z)
+        J = jacobian(z)
         normal = np.linalg.lstsq(J, J @ d_real, rcond=None)[0]
         tangent = d_real - normal
-        t_norm = float(np.linalg.norm(tangent))
+        t_norm = _vector_norm(tangent)
         if t_norm < 1e-13 * (1.0 + best):
             break
         step = tangent[0::2] + 1j * tangent[1::2]
@@ -624,7 +668,7 @@ def _tangential_polish(residual_at, jac_polys, x0, landed, eye) -> ComplexPoint:
         improved = False
         while alpha > 1e-4:
             trial = z + alpha * step
-            reprojected = _levenberg_run(residual_at, jac_polys, tuple(trial), eye)
+            reprojected = _levenberg_run(residual_at, jacobian, tuple(trial), eye)
             if reprojected is not None:
                 dist = _dist(x0, reprojected)
                 if dist < best * (1 - 1e-12):
@@ -638,7 +682,7 @@ def _tangential_polish(residual_at, jac_polys, x0, landed, eye) -> ComplexPoint:
     return tuple(z)
 
 
-def _levenberg_run(residual_at, jac_polys, start, eye) -> ComplexPoint | None:
+def _levenberg_run(residual_at, jacobian, start, eye) -> ComplexPoint | None:
     import numpy as np
     z = np.array(start, dtype=complex)
     try:
@@ -650,7 +694,7 @@ def _levenberg_run(residual_at, jac_polys, start, eye) -> ComplexPoint | None:
     damping = _INITIAL_DAMPING
     cost = float(res @ res)
     for _ in range(_MAX_ITERATIONS):
-        J = _real_jacobian(jac_polys, z)
+        J = jacobian(z)
         A = J.T @ J
         b = -(J.T @ res)
         accepted = False
@@ -678,7 +722,7 @@ def _levenberg_run(residual_at, jac_polys, start, eye) -> ComplexPoint | None:
             return None
         if lands:
             return tuple(z)
-        if np.linalg.norm(step) < 1e-16 * (1.0 + np.linalg.norm(z)):
+        if _vector_norm(step) < 1e-16 * (1.0 + _vector_norm(z)):
             return None
     return None
 

@@ -254,6 +254,9 @@ def parse_point(text: str, context: VariableContext) -> ParsedPoint:
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in coordinate {part.strip()!r}",
                              1, k + 1) from None
+        except ValueError:  # beyond the interpreter's int-string digit limit
+            raise ParseError(f"number longer than {sys.get_int_max_str_digits()} digits "
+                             f"in coordinate {k + 1}", 1, k + 1) from None
     return ParsedPoint(tuple(entries))
 
 

@@ -252,6 +252,8 @@ USAGE_ERRORS = {
     "zero-denominator-point": ["member", CUSP, "--point", "1/0,1"],
     "zero-denominator-direction": ["verify", "ratio", CUSP, "--direction", "1/0,1"],
     "zero-denominator-imaginary": ["verify", "distance", CUSP, "--direction", "1,0+1/0i"],
+    "long-coordinate-point": ["member", CUSP, "--point", "7" * 5000 + ",1"],
+    "long-coordinate-direction": ["verify", "ratio", CUSP, "--direction", "1," + "7" * 5000],
 }
 
 
@@ -327,6 +329,10 @@ GOLDEN_CASES = [
       "--t0", "10", "--factor", "10", "--steps", "5", "--json"]),
     ("distance_cusp_10.json",
      ["verify", "distance", CUSP, "--direction", "1,0", "--json"]),
+    ("distance_fivelines_001.json",
+     ["verify", "distance", FIVELINES, "--direction", "0,0,1", "--json"]),
+    ("distance_cusp_11.json",  # off the cone: verdict fail
+     ["verify", "distance", CUSP, "--direction", "1,1", "--json"]),
 ]
 
 

@@ -1,8 +1,10 @@
 import cmath
 import math
 import random
+import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tcone import numeric
@@ -107,6 +109,51 @@ def test_evaluate_complex_bit_identical_to_term_loop():
         point = tuple(complex(rng.uniform(-50, 50), rng.uniform(-50, 50))
                       for _ in range(3))
         assert evaluate_complex(f, point) == term_loop_evaluate(f, point)
+
+
+def bits(z):
+    """The IEEE bits of a complex value, so that signed zeros count."""
+    return struct.pack("dd", z.real, z.imag)
+
+
+def test_generated_evaluator_bit_identical_to_term_loop():
+    # the estimator evaluates several polynomials with one generated function
+    ctx = VariableContext(("x", "y", "z"))
+    rng = random.Random(12)
+    for _ in range(80):
+        fs = [random_poly(ctx, rng) for _ in range(rng.randint(1, 4))]
+        point = tuple(complex(rng.choice((rng.uniform(-50, 50), 0.0, -0.0)),
+                              rng.choice((rng.uniform(-50, 50), 0.0, -0.0)))
+                      for _ in range(3))
+        evaluate = numeric._evaluator([numeric._compile(f) for f in fs], 3)
+        assert [bits(v) for v in evaluate(*point)] == [bits(term_loop_evaluate(f, point))
+                                                       for f in fs]
+
+
+def test_generated_evaluator_overflow(xy):
+    ctx, x, y = xy
+    fine = x + y
+    for overflowing, point in ((x**3, (1e200, 0)),  # the power overflows
+                               (Fraction(10**400) * x + y, (0, 1))):  # the coefficient
+        evaluate = numeric._evaluator([numeric._compile(fine), numeric._compile(overflowing)], 2)
+        with pytest.raises(EvaluationOverflowError):
+            evaluate(*point)
+
+
+def test_vector_norm_bit_identical_to_numpy():
+    rng = np.random.default_rng(3)
+    vectors = [np.zeros(4), np.zeros(3, dtype=complex), np.array([-0.0, -0.0]),
+               np.array([complex(-0.0, -0.0), complex(0.0, -0.0)]),
+               np.array([1e200, 1.0]), np.array([1e200j, 3.0])]  # squares overflow
+    for size in [1, 2, 6, 9] * 25:
+        scale = 10.0 ** rng.integers(-150, 150, size)
+        vectors.append(rng.standard_normal(size) * scale)
+        vectors.append((rng.standard_normal(size) + 1j * rng.standard_normal(size)) * scale)
+    with np.errstate(all="ignore"):
+        for x in vectors:
+            want = float(np.linalg.norm(x))
+            assert struct.pack("d", numeric._vector_norm(x)) == struct.pack("d", want)
+        assert numeric._vector_norm(np.array([1e200j, 3.0])) == math.inf
 
 
 def test_evaluate_complex_overflow(xy):

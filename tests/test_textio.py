@@ -184,6 +184,15 @@ def test_parse_point_errors(xyz):
         parse_point("1.5,0,0", ctx)
     with pytest.raises(ParseError, match="zero denominator"):
         parse_point("1,-2/0,0", ctx)
+    for text, expected in (
+            ("7" * 5000 + ",0,0", "<input>:1:1: number longer than 4300 digits in coordinate 1"),
+            ("1,0+" + "7" * 5000 + "i,0",
+             "<input>:1:2: number longer than 4300 digits in coordinate 2"),
+            ("1,0,1/" + "7" * 5000,
+             "<input>:1:3: number longer than 4300 digits in coordinate 3")):
+        with pytest.raises(ParseError) as info:
+            parse_point(text, ctx)
+        assert str(info.value) == expected
 
 
 # -- rendering ----------------------------------------------------------------
