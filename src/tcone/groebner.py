@@ -214,6 +214,44 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
         - g * _raw(g.context, {tuple(map(sub, l, gm)): 1 / gc})
 
 
+def _interreduced(G: list[Polynomial], order: MonomialOrder) -> tuple[list, list]:
+    """G and its reducers after interreduction, the first step of GROEBNERNEWS2
+    (Becker & Weispfenning 1993, p. 203).
+
+    Each pass reduces every generator by the ones before it and drops the
+    zeros, on the integer reducers; passes repeat until one changes
+    nothing.  A changed generator is made monic at the end, with its
+    terms in the remainder's order; one that no pass changes is kept as
+    it is, terms in its own order, which the numeric layer sums in.
+    Without this step, generators that reduce one another can make the
+    coefficients of the S-polynomial remainders grow for minutes.
+    """
+    key = order.exponent_key
+    kept = list(zip(G, _reducers(G, order)))  # (generator, or None once changed; reducer)
+    while True:
+        before = [r for _, r in kept]
+        passed = []
+        for k, (g, r) in enumerate(kept):
+            lead, lc, tail = r
+            if not any(all(map(le, h[0], e)) for h in before[:k] for e in (lead, *dict(tail))):
+                passed.append((g, r))  # no term to reduce
+                continue
+            remainder, _ = _reduce({lead: lc, **dict(tail)}, before[:k], key)
+            if remainder:
+                passed.append((None, _reducer(remainder, key)))
+        if passed == kept:
+            break
+        kept = passed
+
+    def polynomial(g, r):  # a changed generator made monic, terms in the reducer's order
+        if g is not None:
+            return g
+        lead, lc, tail = r
+        return _raw(G[0].context, {e: Fraction(c, lc) for e, c in ((lead, lc),) + tail})
+
+    return [polynomial(g, r) for g, r in kept], [r for _, r in kept]
+
+
 def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
     """Reduced Groebner basis of the ideal generated by F.
 
@@ -238,7 +276,9 @@ def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
         return Basis((constant(ctx, 1),), order)
 
     key = order.exponent_key
-    R = _reducers(G, order)
+    G, R = _interreduced(G, order)
+    if any(not any(r[0]) for r in R):
+        return Basis((constant(ctx, 1),), order)
     lm = [r[0] for r in R]
     pending: set[tuple[int, int]] = {(i, j) for j in range(len(G)) for i in range(j)}
     queue = [(sum(map(max, lm[i], lm[j])), i, j) for i, j in pending]

@@ -317,12 +317,47 @@ def _norm(point: Sequence[complex]) -> float:
         return math.inf
 
 
+# The seeded tables below depend only on their arguments, so each is drawn
+# once per process and kept, read-only, in a cache of _CACHED_TABLES
+# entries.  Only tables of at most _CACHED_ENTRIES entries are kept, so the
+# two caches hold at most 8 * (96 + 64) KiB = 1.25 MiB; larger ones are
+# drawn afresh on each call.
+_CACHED_TABLES = 8
+_CACHED_ENTRIES = 4096
+
+
+def _table(build: Callable, *key, entries: int):
+    """build(*key), from build's cache when the table has few enough entries."""
+    return (build if entries <= _CACHED_ENTRIES else build.__wrapped__)(*key)
+
+
+@functools.lru_cache(maxsize=_CACHED_TABLES)
+def _angle_table(seed: int, trials: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The angles theta (trials x n) of far sampling and the unit phases exp(i*theta).
+
+    Trial t draws its n - 1 angles from default_rng([seed, t]), uniform
+    on [0, 2*pi), for every coordinate but the free one, t mod n, whose
+    angle is 0.  Both arrays are read-only.
+    """
+    import numpy as np
+    theta = np.zeros((max(trials, 0), n))
+    for trial in range(trials):
+        angles = np.random.default_rng([seed, trial]).uniform(0.0, 2.0 * math.pi, n - 1)
+        j = trial % n
+        theta[trial, :j], theta[trial, j + 1:] = angles[:j], angles[j:]
+    units = np.exp(1j * theta)
+    theta.flags.writeable = units.flags.writeable = False
+    return theta, units
+
+
 def _far_points(f: Polynomial, radius: float, trials: int,
                 seed: int) -> tuple[np.ndarray, int]:
     """The retained far directions as rows of an array, and the skipped trials.
 
     See ``sample_far_directions``; the array keeps the order of trials,
-    then roots.
+    then roots.  The angle table depends only on (seed, trials, n), so
+    it comes from ``_angle_table``'s cache, read-only: at most 8 tables
+    of at most 4,096 angles, 96 KiB each.
     """
     import numpy as np
     n = f.context.n
@@ -345,44 +380,36 @@ def _far_points(f: Polynomial, radius: float, trials: int,
     if not np.isfinite(scaled).all():
         raise ValueError(f"coefficients scaled to radius {radius:g} leave double precision")
 
-    free = np.arange(trials) % n
-    theta = np.zeros((len(free), n))
-    for trial in range(trials):
-        angles = np.random.default_rng([seed, trial]).uniform(0.0, 2.0 * math.pi, n - 1)
-        j = trial % n
-        theta[trial, :j], theta[trial, j + 1:] = angles[:j], angles[j:]
+    theta, units = _table(_angle_table, seed, trials, n, entries=trials * n)
+    rows = np.arange(len(theta))
+    free = rows % n
     phase = sum(theta[:, k, None] * exps[:, k] for k in range(n))  # in a fixed order
     terms = scaled * np.exp(1j * phase)  # (trials, terms)
-    coeffs = np.zeros((len(free), d + 1), dtype=complex)
-    rows = np.arange(len(free))
-    for t in range(len(scaled)):
-        coeffs[rows, exps[t, free]] += terms[:, t]
+    coeffs = np.zeros((len(rows), d + 1), dtype=complex)
+    # add.at goes through the indices in order, so each slot sums its terms
+    # in term order, from 0.
+    np.add.at(coeffs, (rows[:, None], exps[:, free].T), terms)
 
     # Leading coefficients below 1e-30 of the largest are dropped; a trial
-    # whose restriction is then constant is skipped.
-    by_degree = {}
-    for trial, row in enumerate(np.abs(coeffs).tolist()):
-        floor = 1e-30 * max(row)
-        m = next((k for k in range(d, 0, -1) if row[k] > floor), 0)
-        by_degree.setdefault(m, []).append(trial)
-    units = np.exp(1j * theta)
-    by_trial = {}
-    for m, group in by_degree.items():
-        if m == 0:
-            continue
-        at = np.array(group)
+    # whose restriction is then constant (degree 0) is skipped.  Every term
+    # is finite, so no size is NaN, and the row maximum is Python's max.
+    size = np.abs(coeffs)
+    above = size[:, :0:-1] > 1e-30 * size.max(axis=1)[:, None]  # columns d, ..., 1
+    degree = np.where(above.any(axis=1), d - above.argmax(axis=1), 0)
+    found, owner = [np.zeros((0, n), dtype=complex)], [np.zeros(0, dtype=int)]
+    for m in sorted(set(degree.tolist()) - {0}):  # np.unique would load numpy.ma
+        at = np.flatnonzero(degree == m)  # in trial order
         w, _, _ = _aberth(coeffs[at, :m + 1] / coeffs[at, m, None], 1e-12)
         points = np.repeat(units[at, None, :], m, axis=1)
         points[np.arange(len(at))[:, None], np.arange(m), free[at, None]] = w
         # ||z|| >= R in scaled form: |u_k| = 1 makes it hold for every
         # finite root, and a NaN fails it.
         norms = np.sqrt(n - 1 + np.abs(w) ** 2)
-        for k, trial in enumerate(group):
-            keep = norms[k] >= 1.0
-            by_trial[trial] = points[k, keep] / norms[k, keep, None]
-    ordered = [by_trial[t] for t in sorted(by_trial)]  # trials, then roots
-    directions = np.concatenate(ordered) if ordered else np.zeros((0, n), dtype=complex)
-    return directions, len(by_degree.get(0, ()))
+        keep = norms >= 1.0
+        found.append(points[keep] / norms[keep, None])
+        owner.append(np.broadcast_to(at[:, None], keep.shape)[keep])
+    order = np.argsort(np.concatenate(owner), kind="stable")  # trials, then roots
+    return np.concatenate(found)[order], int((degree == 0).sum())
 
 
 def sample_far_directions(f: Polynomial, radius: float, trials: int,
@@ -406,13 +433,17 @@ def sample_far_directions(f: Polynomial, radius: float, trials: int,
 
 
 def _evaluate_rows(compiled: Compiled, points: np.ndarray) -> np.ndarray:
-    """A compiled polynomial at every row of ``points``, term by term."""
+    """A compiled polynomial at every row of ``points``, term by term, with
+    each power points[:, i] ** e taken once."""
     import numpy as np
+    powers = {}
     total = np.zeros(len(points), dtype=complex)
-    for coeff, powers in compiled:
+    for coeff, factors in compiled:
         v = np.full(len(points), coeff)
-        for i, e in powers:
-            v *= points[:, i] ** e
+        for i, e in factors:
+            if (i, e) not in powers:
+                powers[i, e] = points[:, i] ** e
+            v *= powers[i, e]
         total += v
     return total
 
@@ -493,7 +524,7 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
         try:
             r = None if empty else max(abs(g) ** (1.0 / d)
                                        for g, d in zip(evaluate(*point), degrees)) / t
-        except EvaluationOverflowError:
+        except (EvaluationOverflowError, OverflowError):  # abs(g) may overflow too
             overflow_at = t
             samples.append((t, None))
             continue
@@ -568,6 +599,28 @@ def _real_jacobian(evaluate: Callable[..., tuple[complex, ...]], n: int,
     return np.array(rows)
 
 
+@functools.lru_cache(maxsize=_CACHED_TABLES)
+def _perturbations(seed: int, n: int) -> tuple[tuple[np.ndarray, float], ...]:
+    """The estimator's seeded start directions: (u_k, ||u_k||) for k < 8.
+
+    u_k has standard normal real and imaginary parts, drawn from
+    default_rng([seed, k]); all ones if that draw is 0.  Each u_k is
+    read-only.
+    """
+    import numpy as np
+    out = []
+    for k in range(_NUM_PERTURBATIONS):
+        rng = np.random.default_rng([seed, k])
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        u_norm = _norm(u)
+        if u_norm == 0:
+            u = np.ones(n, dtype=complex)
+            u_norm = _norm(u)
+        u.flags.writeable = False
+        out.append((u, u_norm))
+    return tuple(out)
+
+
 def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
                             seed: int = 42, residual_tol: float = 1e-10) -> DistanceEstimate:
     """Upper bound on the distance from x0 to the common zero set of F.
@@ -598,13 +651,7 @@ def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
 
     starts = [x0]
     base_norm = _norm(x0)
-    for k in range(_NUM_PERTURBATIONS):
-        rng = np.random.default_rng([seed, k])
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        u_norm = _norm(u)
-        if u_norm == 0:
-            u = np.ones(n, dtype=complex)
-            u_norm = _norm(u)
+    for u, u_norm in _table(_perturbations, seed, n, entries=_NUM_PERTURBATIONS * n):
         delta = (_PERTURBATION_RADIUS * base_norm / u_norm) * u
         starts.append(tuple(complex(x0[i] + delta[i]) for i in range(n)))
 

@@ -228,7 +228,16 @@ class ParsedPoint(NamedTuple):
 
     @property
     def complexes(self) -> tuple[complex, ...]:
-        return tuple(complex(re, im) for re, im in self.entries)
+        """The coordinates as complex doubles; a ParseError names the first
+        coordinate beyond double range."""
+        out = []
+        for k, (re, im) in enumerate(self.entries):
+            try:
+                out.append(complex(re, im))
+            except OverflowError:
+                raise ParseError(f"coordinate {k + 1} is beyond double precision",
+                                 1, k + 1) from None
+        return tuple(out)
 
     @property
     def rationals(self) -> tuple[Fraction, ...] | None:
@@ -273,6 +282,26 @@ def _render_monomial(e: tuple[int, ...], names: Sequence[str]) -> str:
     return "*".join(parts)
 
 
+# Integers of at most this many bits (below 640 digits, the least
+# int-to-string limit the interpreter accepts) are converted by str at once.
+_CHUNK_BITS = 2000
+
+
+def _digits(n: int) -> str:
+    """str(n) for n >= 0, also past the interpreter's int-to-string digit
+    limit: a longer number is split into two decimal halves."""
+    if n.bit_length() <= _CHUNK_BITS:
+        return str(n)
+    k = int(n.bit_length() * 0.30103) // 2  # about half of n's digits
+    high, low = divmod(n, 10 ** k)
+    return _digits(high) + _digits(low).zfill(k)
+
+
+def _rational(q: Fraction) -> str:
+    """str(q) for q >= 0, at any length."""
+    return _digits(q.numerator) + ("" if q.denominator == 1 else "/" + _digits(q.denominator))
+
+
 def render_polynomial(f: Polynomial, order: MonomialOrder) -> str:
     """Terms in strictly descending order; stable across runs."""
     if f.is_zero():
@@ -284,11 +313,11 @@ def render_polynomial(f: Polynomial, order: MonomialOrder) -> str:
         mono = _render_monomial(m, names)
         mag = abs(c)
         if not mono:
-            body = str(mag)
+            body = _rational(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{mag}*{mono}"
+            body = f"{_rational(mag)}*{mono}"
         if i == 0:
             pieces.append(body if c > 0 else "-" + body)
         else:

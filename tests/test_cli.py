@@ -16,6 +16,8 @@ FIVELINES = str(DATA / "fivelines.ideal")
 CUSP = str(DATA / "cusp.ideal")
 WHOLERING = str(DATA / "wholering.ideal")
 BROKEN = str(DATA / "broken.ideal")
+DEGREE8 = str(DATA / "degree8.ideal")
+MIXED = str(DATA / "mixed.ideal")
 
 
 def run(capsys, args):
@@ -45,6 +47,18 @@ def test_gb_json(capsys):
     payload = json.loads(out)
     assert payload["groebner_basis"] == ["x*y", "y^3*z - y*z^3",
                                          "x^3*z - y^2*z + z^3"]
+
+
+def test_gb_renders_coefficients_past_the_digit_limit(capsys, tmp_path):
+    # 2^15000 has 4,516 digits, past the interpreter's default limit of
+    # 4,300 for str(int), which the rendering must not change.
+    from decimal import Decimal
+    limit = sys.get_int_max_str_digits()
+    path = ideal_file(tmp_path, "vars x\npoly 2^15000*x + 3\n")
+    code, out, err = run(capsys, ["gb", path])
+    assert (code, err) == (0, "")
+    assert out == f"x + 3/{Decimal(2**15000)}\n"
+    assert sys.get_int_max_str_digits() == limit
 
 
 # -- cone ----------------------------------------------------------------
@@ -114,6 +128,26 @@ def test_verify_ratio_fail_exit_two(capsys):
                                 "--t0", "10", "--factor", "10", "--steps", "5"])
     assert code == 2
     assert "verdict: fail" in out
+
+
+def test_verify_ratio_modulus_overflow_is_inconclusive(capsys, tmp_path):
+    # g = 1.3e308(1+i) at t = 10 is finite, but its modulus is not.
+    big = "13" + "0" * 306
+    path = ideal_file(tmp_path, "vars x y\npoly x - y\n")
+    code, out, err = run(capsys, ["verify", "ratio", path, "--direction", f"{big}+{big}i,0"])
+    assert code == 3
+    assert "t=10 value=n/a" in out
+    assert err.startswith("verdict: inconclusive (evaluation overflow at t=")
+
+
+@pytest.mark.parametrize("kind", ["ratio", "distance"])
+def test_direction_beyond_double_range_is_parse_error(capsys, kind):
+    # exact, so member would take it; a float direction cannot
+    for direction, k in (("1" + "0" * 400 + ",1", 1), ("1,0+1" + "0" * 309 + "i", 2)):
+        code, out, err = run(capsys, ["verify", kind, CUSP, "--direction", direction])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: <input>:1:{k}: coordinate {k} is beyond double precision\n"
 
 
 def test_verify_ratio_bad_schedule(capsys):
@@ -333,6 +367,10 @@ GOLDEN_CASES = [
      ["verify", "distance", FIVELINES, "--direction", "0,0,1", "--json"]),
     ("distance_cusp_11.json",  # off the cone: verdict fail
      ["verify", "distance", CUSP, "--direction", "1,1", "--json"]),
+    ("sample_degree8.json", ["verify", "sample", DEGREE8, "--json"]),
+    # Trials freeing x have degree 3, those freeing y degree 2, and the 33
+    # freeing z, which f does not involve, are skipped.
+    ("sample_mixed.json", ["verify", "sample", MIXED, "--json"]),
 ]
 
 

@@ -471,6 +471,102 @@ def test_sample_report_dense_degree_7_surface(xyz):
     assert report.diagnostics.startswith("700/700 ")
 
 
+def far_points_reference(f, radius, trials, seed):
+    """(directions, skipped) of far sampling, trial by trial: one
+    default_rng([seed, trial]) per trial, its restriction's coefficients
+    summed term by term, and its kept roots divided by their norms on
+    their own.  Only the root solve is shared: it runs on the rows of
+    each degree, in trial order, as _aberth's batched arithmetic depends
+    on the batch's nonzero columns."""
+    n, d = f.context.n, total_degree(f)
+    exps = np.array(list(f.terms), dtype=np.int64)
+    scaled = np.array([complex(float(c)) * radius ** (sum(e) - d) for e, c in f.terms.items()])
+    rows, units, by_degree = {}, {}, {}
+    for trial in range(trials):
+        j = trial % n
+        angles = np.random.default_rng([seed, trial]).uniform(0.0, 2.0 * math.pi, n - 1)
+        theta = np.concatenate([angles[:j], [0.0], angles[j:]])
+        phase = sum(theta[k] * exps[:, k] for k in range(n))
+        terms = scaled * np.exp(1j * phase)
+        coeffs = np.zeros(d + 1, dtype=complex)
+        for t in range(len(terms)):
+            coeffs[exps[t, j]] += terms[t]
+        size = np.abs(coeffs).tolist()
+        m = next((k for k in range(d, 0, -1) if size[k] > 1e-30 * max(size)), 0)
+        by_degree.setdefault(m, []).append(trial)
+        rows[trial], units[trial] = coeffs, np.exp(1j * theta)
+    kept = {}
+    for m, group in by_degree.items():
+        if m == 0:
+            continue
+        a = np.array([rows[t][:m + 1] / rows[t][m] for t in group])
+        w, _, _ = numeric._aberth(a, 1e-12)
+        for k, trial in enumerate(group):
+            points = np.repeat(units[trial][None, :], m, axis=0)
+            points[:, trial % n] = w[k]
+            norms = np.sqrt(n - 1 + np.abs(w[k]) ** 2)  # as arrays: a scalar ** 2 may differ
+            keep = norms >= 1.0
+            kept[trial] = points[keep] / norms[keep, None]
+    directions = [p for trial in sorted(kept) for p in kept[trial]]
+    return directions, len(by_degree.get(0, ()))
+
+
+def rows_reference(f, points):
+    """f at each point (a row), term by term, each power taken afresh."""
+    total = np.zeros(len(points), dtype=complex)
+    for c, powers in numeric._compile(f):
+        v = np.full(len(points), c)
+        for i, e in powers:
+            v *= points[:, i] ** e
+        total += v
+    return total
+
+
+def test_far_sampling_bit_identical_to_per_trial_reference():
+    from tcone.polyring import leading_form
+    rng = random.Random(2024)
+    cases = 0
+    while cases < 60:
+        n = rng.randint(2, 4)
+        f = random_poly(VariableContext(("x", "y", "z", "w")[:n]), rng)
+        if f.is_zero() or f.is_constant():
+            continue
+        cases += 1
+        radius = rng.choice([1.0, 7.5, 1e3, 1e6, 1e12])
+        trials = rng.choice([1, 2, 7, 100])
+        seed = rng.randrange(1000)
+        want, skipped = far_points_reference(f, radius, trials, seed)
+        got = sample_far_directions(f, radius, trials, seed)
+        assert got.skipped == skipped
+        assert [[bits(z) for z in u] for u in got.directions] == \
+            [[bits(z) for z in u] for u in (p.tolist() for p in want)]
+        report = far_sample_report(f, radius, trials, seed)
+        residuals = np.abs(rows_reference(leading_form(f), np.array(want).reshape(-1, n)))
+        assert repr(report.samples) == repr(tuple((radius, r) for r in residuals.tolist())
+                                            or ((radius, None),)), (f, radius, trials, seed)
+
+
+def test_seeded_tables_are_cached_read_only():
+    theta, units = numeric._angle_table(5, 7, 3)
+    assert numeric._angle_table(5, 7, 3)[0] is theta
+    perturbations = numeric._perturbations(5, 3)
+    for array in (theta, units, *(u for u, _ in perturbations)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # the estimator's start directions come from default_rng([seed, k]), k < 8
+    for k, (u, u_norm) in enumerate(perturbations):
+        rng = np.random.default_rng([5, k])
+        want = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        assert [bits(z) for z in u.tolist()] == [bits(z) for z in want.tolist()]
+        assert u_norm == numeric._norm(want)
+    # a table past the entry bound is drawn afresh, not kept
+    size = numeric._angle_table.cache_info().currsize
+    numeric._table(numeric._angle_table, 5, numeric._CACHED_ENTRIES, 2,
+                   entries=2 * numeric._CACHED_ENTRIES)
+    assert numeric._angle_table.cache_info().currsize == size
+
+
 # -- ratio schedules -------------------------------------------------------------
 
 

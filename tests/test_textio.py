@@ -214,6 +214,21 @@ def test_render_descending_under_order(xyz):
     assert render_polynomial(f, GREVLEX) == "x^3*z - y^2*z + z^3"
 
 
+def test_render_numbers_of_any_length(xy):
+    # str(int) refuses more than 4,300 digits by default; the rendering
+    # splits such a number into decimal chunks, with the zeros it needs.
+    from decimal import Decimal  # str(Decimal(n)) has no digit limit
+
+    def text(q):
+        return str(Decimal(q.numerator)) + ("" if q.denominator == 1
+                                            else f"/{Decimal(q.denominator)}")
+
+    ctx, x, y = xy
+    for q in (Fraction(3**10000, 2**20000), Fraction(10**5000), Fraction(10**5000 - 1, 7),
+              Fraction(10**4400 + 1), Fraction(2**6644), Fraction(12, 10**4299)):
+        assert render_polynomial(q * x - q, GREVLEX) == f"{text(q)}*x - {text(q)}"
+
+
 def test_parse_render_round_trip():
     ctx = VariableContext(("x", "y", "z"))
     rng = random.Random(4)
