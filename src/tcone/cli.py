@@ -1,7 +1,8 @@
 """Command-line surface: gb, cone, member and the verify subcommands.
 
-Exit codes: 0 success or verdict pass, 1 usage or parse error, 2
-verification verdict fail, 3 inconclusive (solver non-convergence).
+Exit codes: 0 success or verdict pass, 1 usage or parse error (or a
+Groebner basis past its caps), 2 verification verdict fail, 3
+inconclusive (solver non-convergence).
 Results go to stdout, diagnostics to stderr.  Every command takes
 ``--help``; every error is one ``error: ...`` line on stderr.  The
 parser is the standard library's argparse, so a command loads only

@@ -9,13 +9,17 @@ ascending by leading monomial) that is unique per ideal and order.
 
 Reduction runs on integer numerators over plain exponent tuples.  Each
 divisor enters as a reducer (leading exponents, leading coefficient,
-tail as ((exponents, coefficient), ...)): the divisor times the positive
-rational that makes its coefficients coprime integers.  The workspace is
-rescaled instead of divided.  Which divisor reduces a term depends only
-on monomials, and a multiple of a divisor cancels a term just as the
+tail as ((exponents, coefficient), ...)): the divisor times the rational
+that makes its coefficients coprime integers, the lead positive.  The
+workspace is rescaled instead of divided, and drained through a heap on
+the order's negated key.  Which divisor reduces a term depends only on
+monomials, and a multiple of a divisor cancels a term just as the
 divisor does, so the reductions are those of division over the
 rationals, in the same order, and every remainder and basis is
-identical to the rational one, term for term.
+identical to the rational one, term for term.  ``buchberger`` stays on
+reducers from its inputs to its final remainders, the only elements
+made Fractions, and stops with a BasisLimitError past ``_MAX_BASIS``
+elements or ``_DEADLINE_S`` seconds.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le, neg, sub
+from operator import add, le, sub
+from time import monotonic
 from typing import Sequence
 
 from .polyring import (
@@ -40,19 +45,35 @@ from .polyring import (
     _raw,
 )
 
+# Far above every basis the tests and benchmarks build, and above
+# katsura-6, which peaks at 43 elements and takes about 3 s.  A basis of
+# n elements has up to n^2/2 pairs, so the size cap also bounds those.
+_MAX_BASIS = 1000
+_DEADLINE_S = 600.0
+
 
 class ZeroIdealError(ValueError):
     """All supplied generators are zero."""
 
 
+class BasisLimitError(ValueError):
+    """buchberger passed _MAX_BASIS basis elements or _DEADLINE_S seconds."""
+
+
+def _overdue():
+    raise BasisLimitError(f"Groebner basis not done after {_DEADLINE_S:g} s")
+
+
 class Basis:
     """An ordered generating set under a fixed monomial order.
 
-    Immutable; equal and hashed by (generators, order).
+    Immutable; equal and hashed by (generators, order).  The basis that
+    buchberger hands to reduce_basis holds its reducers and their sources
+    and builds its generators only when asked.
     """
 
     def __init__(self, generators: tuple[Polynomial, ...], order: MonomialOrder):
-        self.__dict__.update(generators=generators, order=order)
+        self.__dict__.update(generators=generators, order=order, _sources=generators)
 
     def __setattr__(self, name, value):
         raise AttributeError("Basis is immutable")
@@ -68,11 +89,17 @@ class Basis:
         return iter(self.generators)
 
     def __len__(self):
-        return len(self.generators)
+        return len(self._sources)
 
-    @property
+    @cached_property
     def context(self) -> VariableContext:
         return self.generators[0].context
+
+    @cached_property
+    def generators(self) -> tuple[Polynomial, ...]:
+        """Each source, or else its reducer made monic."""
+        return tuple(s or _monic(self.context, _terms(r))
+                     for s, r in zip(self._sources, self._reducers))
 
     @cached_property
     def _reducers(self) -> list[tuple]:
@@ -108,7 +135,7 @@ def normal_form(f: Polynomial, divisors, order: MonomialOrder | None = None) -> 
     if gens:
         _shared_context((f,) + gens)
     reducers = divisors._reducers if isinstance(divisors, Basis) else _reducers(gens, order)
-    return _normal_form(f, reducers, order.exponent_key)
+    return _normal_form(f, reducers, order.negated_key)
 
 
 def _integer_terms(f: Polynomial) -> tuple[dict[tuple[int, ...], int], int]:
@@ -117,33 +144,46 @@ def _integer_terms(f: Polynomial) -> tuple[dict[tuple[int, ...], int], int]:
     return {e: c.numerator * (d // c.denominator) for e, c in f.terms.items()}, d
 
 
-def _reducer(p: dict[tuple[int, ...], int], key) -> tuple:
-    """The reducer of the nonzero integer terms p under the exponent key."""
-    lead = max(p, key=key)
-    g = gcd(*p.values())
+def _reducer(p: dict[tuple[int, ...], int], lead: tuple[int, ...]) -> tuple:
+    """The reducer of the nonzero integer terms p with leading exponents
+    lead: p over the gcd of its coefficients, signed to make the lead positive."""
+    g = gcd(*p.values()) if p[lead] > 0 else -gcd(*p.values())
     return lead, p[lead] // g, tuple((e, c // g) for e, c in p.items() if e is not lead)
 
 
 def _reducers(gens: Sequence[Polynomial], order: MonomialOrder) -> list[tuple]:
     """The reducers of nonzero polynomials, in their order."""
-    key = order.exponent_key
-    return [_reducer(_integer_terms(g)[0], key) for g in gens]
+    return [_reducer(_integer_terms(g)[0], leading_term(g, order)[0]) for g in gens]
 
 
-def _reduce(p: dict[tuple[int, ...], int], reducers, key) -> tuple[dict[tuple[int, ...], int], int]:
+def _terms(r: tuple) -> dict[tuple[int, ...], int]:
+    """The integer terms of the reducer r, its lead first."""
+    return {r[0]: r[1], **dict(r[2])}
+
+
+def _monic(ctx: VariableContext, p: dict[tuple[int, ...], int]) -> Polynomial:
+    """The integer terms p divided by the first, the leading one, in p's order."""
+    lc = next(iter(p.values()))
+    return _raw(ctx, {e: Fraction(c, lc) for e, c in p.items()})
+
+
+def _reduce(p: dict[tuple[int, ...], int], reducers, nkey,
+            deadline: float | None = None) -> tuple[dict[tuple[int, ...], int], int]:
     """Fraction-free division of the integer terms p (consumed) by the reducers.
 
     Returns the remainder r and a nonzero scale D such that r / D is the
-    remainder of rational division, term for term and in its order.
-    The workspace p is drained largest term first through a max-heap on
-    the negated order key, computed once per monomial as it enters.  A
+    remainder of rational division, term for term and in its order,
+    which is descending, so a nonzero r's first term is its leading one.
+    The workspace p is drained largest term first through a min-heap on
+    the negated order key nkey, computed once per monomial as it enters.  A
     term that cancels stays in p at coefficient 0 until popped, so each
     monomial has one heap entry.  Every new term is below the term m it
     reduces, so no popped monomial comes back.  When a reducer's leading
     coefficient gc does not divide the term's coefficient c, p and r are
-    first multiplied by gc / gcd(c, gc), and D with them.
+    first multiplied by gc / gcd(c, gc), and D with them.  Past the
+    monotonic-clock deadline, if one is given, the next step raises.
     """
-    heap = [(tuple(map(neg, key(e))), e) for e in p]
+    heap = [(nkey(e), e) for e in p]
     heapify(heap)
     remainder: dict[tuple[int, ...], int] = {}
     scale = 1
@@ -154,6 +194,8 @@ def _reduce(p: dict[tuple[int, ...], int], reducers, key) -> tuple[dict[tuple[in
             continue
         for gm, gc, tail in reducers:
             if all(map(le, gm, m)):
+                if deadline is not None and monotonic() > deadline:
+                    _overdue()
                 g = gcd(c, gc)
                 if g != gc:
                     s = gc // g
@@ -167,7 +209,7 @@ def _reduce(p: dict[tuple[int, ...], int], reducers, key) -> tuple[dict[tuple[in
                     v = p.get(t)
                     if v is None:
                         p[t] = -c * tc
-                        heappush(heap, (tuple(map(neg, key(t))), t))
+                        heappush(heap, (nkey(t), t))
                     else:
                         p[t] = v - c * tc
                 break
@@ -176,10 +218,10 @@ def _reduce(p: dict[tuple[int, ...], int], reducers, key) -> tuple[dict[tuple[in
     return remainder, scale
 
 
-def _normal_form(f: Polynomial, reducers, key) -> Polynomial:
+def _normal_form(f: Polynomial, reducers, nkey) -> Polynomial:
     """normal_form of f by divisors already made reducers."""
     p, d = _integer_terms(f)
-    remainder, scale = _reduce(p, reducers, key)
+    remainder, scale = _reduce(p, reducers, nkey)
     d *= scale
     return _raw(f.context, {e: Fraction(c, d) for e, c in remainder.items()})
 
@@ -214,42 +256,31 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
         - g * _raw(g.context, {tuple(map(sub, l, gm)): 1 / gc})
 
 
-def _interreduced(G: list[Polynomial], order: MonomialOrder) -> tuple[list, list]:
-    """G and its reducers after interreduction, the first step of GROEBNERNEWS2
-    (Becker & Weispfenning 1993, p. 203).
+def _interreduced(R: list, S: list, nkey, deadline: float) -> tuple[list, list]:
+    """The reducers R of the inputs S after interreduction, the first step
+    of GROEBNERNEWS2 (Becker & Weispfenning 1993, p. 203), with their sources.
 
-    Each pass reduces every generator by the ones before it and drops the
-    zeros, on the integer reducers; passes repeat until one changes
-    nothing.  A changed generator is made monic at the end, with its
-    terms in the remainder's order; one that no pass changes is kept as
-    it is, terms in its own order, which the numeric layer sums in.
+    Each pass reduces every element by the ones before it and drops the
+    zeros; passes repeat until one changes nothing.  An element that no
+    pass changes keeps its input as its source; a changed one has None.
     Without this step, generators that reduce one another can make the
     coefficients of the S-polynomial remainders grow for minutes.
     """
-    key = order.exponent_key
-    kept = list(zip(G, _reducers(G, order)))  # (generator, or None once changed; reducer)
+    kept = list(zip(S, R))
     while True:
         before = [r for _, r in kept]
         passed = []
-        for k, (g, r) in enumerate(kept):
+        for k, (s, r) in enumerate(kept):
             lead, lc, tail = r
             if not any(all(map(le, h[0], e)) for h in before[:k] for e in (lead, *dict(tail))):
-                passed.append((g, r))  # no term to reduce
+                passed.append((s, r))  # no term to reduce
                 continue
-            remainder, _ = _reduce({lead: lc, **dict(tail)}, before[:k], key)
+            remainder, _ = _reduce(_terms(r), before[:k], nkey, deadline)
             if remainder:
-                passed.append((None, _reducer(remainder, key)))
+                passed.append((None, _reducer(remainder, next(iter(remainder)))))
         if passed == kept:
-            break
+            return [r for _, r in kept], [s for s, _ in kept]
         kept = passed
-
-    def polynomial(g, r):  # a changed generator made monic, terms in the reducer's order
-        if g is not None:
-            return g
-        lead, lc, tail = r
-        return _raw(G[0].context, {e: Fraction(c, lc) for e, c in ((lead, lc),) + tail})
-
-    return [polynomial(g, r) for g, r in kept], [r for _, r in kept]
 
 
 def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
@@ -263,24 +294,21 @@ def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
     the heap pops pairs in the order of a scan for the minimum.  Pairs
     are pruned with the coprime-leading-monomial and chain criteria, so
     the output is a deterministic function of the input list.  Each
-    basis element's reducer is built once, when it joins the basis, and
-    S-polynomials are formed and reduced on the reducers.
+    input becomes a reducer once, and each S-polynomial remainder joins
+    the basis as one.  Raises BasisLimitError past _MAX_BASIS elements
+    or _DEADLINE_S seconds, checked at each pair and reduction step.
     """
     gens = [f for f in F if not f.is_zero()]
     if not gens:
         raise ZeroIdealError("zero ideal")
     ctx = _shared_context(gens)
-
-    G = [monic(f, order) for f in gens]
-    if any(g.is_constant() for g in G):
-        return Basis((constant(ctx, 1),), order)
-
-    key = order.exponent_key
-    G, R = _interreduced(G, order)
+    deadline = monotonic() + _DEADLINE_S
+    nkey = order.negated_key
+    R, S = _interreduced(_reducers(gens, order), gens, nkey, deadline)
     if any(not any(r[0]) for r in R):
         return Basis((constant(ctx, 1),), order)
     lm = [r[0] for r in R]
-    pending: set[tuple[int, int]] = {(i, j) for j in range(len(G)) for i in range(j)}
+    pending: set[tuple[int, int]] = {(i, j) for j in range(len(R)) for i in range(j)}
     queue = [(sum(map(max, lm[i], lm[j])), i, j) for i, j in pending]
     heapify(queue)
 
@@ -288,6 +316,8 @@ def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
         return (min(i, j), max(i, j)) not in pending
 
     while queue:
+        if monotonic() > deadline:
+            _overdue()
         _, i, j = heappop(queue)
         pending.remove((i, j))
         if not any(map(min, lm[i], lm[j])):  # coprime leading monomials
@@ -295,48 +325,53 @@ def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
         l = tuple(map(max, lm[i], lm[j]))
         if any(k != i and k != j and all(map(le, lm[k], l))
                and treated(i, k) and treated(j, k)
-               for k in range(len(G))):
+               for k in range(len(R))):
             continue
-        r, _ = _reduce(_s_polynomial(R[i], R[j]), R, key)
+        r, _ = _reduce(_s_polynomial(R[i], R[j]), R, nkey, deadline)
         if not r:
             continue
-        new_reducer = _reducer(r, key)
-        lead = new_reducer[0]
+        lead = next(iter(r))
         if not any(lead):
             return Basis((constant(ctx, 1),), order)
-        lc = r[lead]
-        G.append(_raw(ctx, {e: Fraction(c, lc) for e, c in r.items()}))
-        R.append(new_reducer)
+        if len(R) == _MAX_BASIS:
+            raise BasisLimitError(f"Groebner basis passed {_MAX_BASIS} elements")
+        R.append(_reducer(r, lead))
+        S.append(None)
         lm.append(lead)
-        new = len(G) - 1
+        new = len(R) - 1
         for k in range(new):
             pending.add((k, new))
             heappush(queue, (sum(map(max, lm[k], lead)), k, new))
-    return reduce_basis(G, order)
+    basis = Basis.__new__(Basis)
+    basis.__dict__.update(context=ctx, _reducers=R, _sources=S, order=order)
+    return reduce_basis(basis, order)
 
 
-def reduce_basis(G: Sequence[Polynomial], order: MonomialOrder) -> Basis:
+def reduce_basis(G: Sequence[Polynomial] | Basis, order: MonomialOrder) -> Basis:
     """Canonical reduced form of a Groebner basis.
 
     Drops generators whose leading monomial is divisible by another's,
-    makes everything monic, tail-reduces each generator against the
-    rest, and sorts ascending by leading monomial.
+    tail-reduces each of the rest against the others on G's reducers
+    (a Basis under this order reuses any it has), makes them monic, and
+    sorts ascending by leading monomial.  A lone survivor with a source
+    (the input it still is) keeps its terms in that order.
     """
-    gens = [g for g in G if not g.is_zero()]
-    if not gens:
-        raise ZeroIdealError("zero ideal")
+    if not (isinstance(G, Basis) and G.order == order and "_reducers" in vars(G)):
+        gens = tuple(g for g in G if not g.is_zero())
+        if not gens:
+            raise ZeroIdealError("zero ideal")
+        G = Basis(gens, order)
     key = order.exponent_key
-    ranked = sorted(zip(_reducers(gens, order), gens), key=lambda rg: key(rg[0][0]))
-    minimal: list[Polynomial] = []
-    reducers: list[tuple] = []
-    for r, g in ranked:
-        if not any(all(map(le, h[0], r[0])) for h in reducers):
-            minimal.append(monic(g, order))
-            reducers.append(r)
+    minimal: list[tuple] = []
+    for r, s in sorted(zip(G._reducers, G._sources), key=lambda rs: key(rs[0][0])):
+        if not any(all(map(le, h[0], r[0])) for h, _ in minimal):
+            minimal.append((r, s))
     # The leading monomials of a minimal basis are distinct and already ascending.
-    reduced = [_normal_form(g, reducers[:k] + reducers[k + 1:], key)
-               if len(minimal) > 1 else g for k, g in enumerate(minimal)]
-    return Basis(tuple(reduced), order)
+    R = [r for r, _ in minimal]
+    nkey = order.negated_key
+    return Basis(tuple(monic(s, order) if s and len(R) == 1
+                       else _monic(G.context, _reduce(_terms(r), R[:k] + R[k + 1:], nkey)[0])
+                       for k, (r, s) in enumerate(minimal)), order)
 
 
 def ideal_member(f: Polynomial, basis: Basis) -> bool:

@@ -95,6 +95,14 @@ def _elim1_key(e: tuple[int, ...]) -> tuple[int, ...]:
 _EXPONENT_KEYS = {"lex": _lex_key, "grlex": _grlex_key,
                   "grevlex": _grevlex_key, "elim1": _elim1_key}
 
+# Each key negated, built directly: a min-heap on it pops the largest monomial first.
+_NEGATED_KEYS = {
+    "lex": lambda e: tuple(map(_neg, e)),
+    "grlex": lambda e: (-sum(e),) + tuple(map(_neg, e)),
+    "grevlex": lambda e: (-sum(e),) + e[::-1],
+    "elim1": lambda e: (-e[0], e[0] - sum(e)) + e[:0:-1],
+}
+
 
 class MonomialOrder(NamedTuple):
     """A total, multiplicative order on monomials of one context.
@@ -114,6 +122,11 @@ class MonomialOrder(NamedTuple):
             return _EXPONENT_KEYS[self.kind]
         except KeyError:
             raise ValueError(f"unknown order kind {self.kind!r}") from None
+
+    @property
+    def negated_key(self):
+        """The exponent key with every entry negated, computed directly."""
+        return _NEGATED_KEYS[self.kind]
 
     def key(self, e: tuple[int, ...]) -> tuple[int, ...]:
         """The exponent key of the exponent tuple e."""

@@ -61,6 +61,19 @@ def test_gb_renders_coefficients_past_the_digit_limit(capsys, tmp_path):
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("command", ["gb", "cone", "member"])
+@pytest.mark.parametrize("cap, value, message", [
+    ("_MAX_BASIS", 2, "error: Groebner basis passed 2 elements"),
+    ("_DEADLINE_S", -1.0, "error: Groebner basis not done after -1 s"),
+])
+def test_exact_layer_caps_are_one_error_line(capsys, monkeypatch, command, cap, value, message):
+    # The five-lines basis needs a third element and one S-polynomial reduction.
+    monkeypatch.setattr(tcone.groebner, cap, value)
+    point = ["--point", "0,0,1"] if command == "member" else []
+    code, out, err = run(capsys, [command, FIVELINES] + point)
+    assert (code, out, err) == (1, "", message + "\n")
+
+
 # -- cone ----------------------------------------------------------------
 
 

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from tcone import groebner
 from tcone.groebner import (
+    BasisLimitError,
     ZeroIdealError,
     buchberger,
     ideal_equal,
@@ -299,6 +301,52 @@ def test_buchberger_permutation_invariance(five_lines):
         assert buchberger(list(perm), GREVLEX).generators == reference
 
 
+def test_buchberger_converts_each_input_to_integers_once(monkeypatch):
+    # The elements buchberger derives stay integer reducers until the
+    # output is built, so the Fraction-to-integer conversion sees only the
+    # nonzero inputs, each once, in input order.
+    F = katsura(4)
+    F.insert(2, zero(F[0].context))
+    seen = []
+    convert = groebner._integer_terms
+
+    def counted(f):
+        seen.append(f)
+        return convert(f)
+
+    monkeypatch.setattr(groebner, "_integer_terms", counted)
+    basis = buchberger(F, GREVLEX)
+    assert [id(f) for f in seen] == [id(f) for f in F if f]
+    assert len(basis) > len(seen)  # elements were derived, none converted
+
+
+def test_buchberger_stops_past_the_basis_cap(monkeypatch):
+    # katsura-3 peaks at 9 elements before its reduced basis of 7.
+    monkeypatch.setattr(groebner, "_MAX_BASIS", 8)
+    with pytest.raises(BasisLimitError, match="passed 8 elements"):
+        buchberger(katsura(3), GREVLEX)
+    monkeypatch.setattr(groebner, "_MAX_BASIS", 9)
+    assert len(buchberger(katsura(3), GREVLEX)) == 7
+
+
+def test_buchberger_stops_past_the_deadline(monkeypatch):
+    monkeypatch.setattr(groebner, "_DEADLINE_S", -1.0)  # already passed at the start
+    with pytest.raises(BasisLimitError, match="not done after"):
+        buchberger(katsura(3), GREVLEX)
+    x, y = variables(VariableContext(("x", "y")))
+    # With no pair and no reduction to run, the clock is never read.
+    assert buchberger([x**2 - y, 0 * x], GREVLEX).generators == (x**2 - y,)
+
+
+def test_reduction_checks_the_deadline_at_each_step():
+    # One reduction can run for minutes (katsura-4 under lex), so the
+    # deadline is looked at inside it, not only between reductions.
+    x = ((1, 0), 1, (((0, 0), -1),))  # the reducer of x - 1
+    with pytest.raises(BasisLimitError):
+        groebner._reduce({(2, 0): 1}, [x], GREVLEX.negated_key, deadline=0.0)
+    assert groebner._reduce({(2, 0): 1}, [x], GREVLEX.negated_key) == ({(0, 0): 1}, 1)
+
+
 # -- reduce_basis ------------------------------------------------------------
 
 
@@ -319,6 +367,14 @@ def test_reduce_basis_monic(xy):
     ctx, x, y = xy
     basis = reduce_basis([2 * x], GREVLEX)
     assert basis.generators == (x,)
+
+
+def test_reduce_basis_reuses_the_reducers_of_a_basis(five_lines, monkeypatch):
+    ctx, f1, f2 = five_lines
+    basis = buchberger([f1, f2], GREVLEX)
+    normal_form(f1, basis)  # builds the basis's reducers
+    monkeypatch.setattr(groebner, "_integer_terms", None)  # no conversion left to run
+    assert reduce_basis(basis, GREVLEX) == basis
 
 
 # -- ideal membership and equality -------------------------------------------

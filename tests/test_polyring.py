@@ -1,11 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
-from operator import add
+from operator import add, neg
 
 import pytest
 
 from tcone.polyring import (
+    ELIM_FIRST,
     GREVLEX,
     GRLEX,
     LEX,
@@ -261,6 +262,12 @@ def test_degree_orders_compare_degree_first(order):
         for b in all_monomials(3, 4):
             if sum(a) != sum(b):
                 assert (order.key(a) > order.key(b)) == (sum(a) > sum(b))
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX, ELIM_FIRST])
+def test_negated_key_negates_the_key(order):
+    for m in all_monomials(4, 5):
+        assert order.negated_key(m) == tuple(map(neg, order.key(m)))
 
 
 # -- leading terms -------------------------------------------------------

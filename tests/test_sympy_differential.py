@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcone.groebner import buchberger
-from tcone.polyring import ORDERS_BY_NAME, VariableContext, monic
+from tcone.polyring import ORDERS_BY_NAME, Polynomial, VariableContext, monic
 
 from test_polyring import random_poly
 
@@ -49,6 +50,23 @@ def test_buchberger_agrees_with_sympy(kind):
     order = ORDERS_BY_NAME[kind]
     for gens in seeded_ideals():
         assert monic_set(buchberger(gens, order), order) == sympy_basis(gens, kind), gens
+
+
+@st.composite
+def drawn_ideals(draw):
+    """1-3 nonzero generators in 2-3 variables: up to 4 terms each, of
+    degree <= 5, with coefficients in -3..3."""
+    ctx = VariableContext(("x", "y", "z")[:draw(st.integers(2, 3))])
+    exponents = st.tuples(*[st.integers(0, 5)] * ctx.n).filter(lambda e: sum(e) <= 5)
+    terms = st.dictionaries(exponents, st.integers(-3, 3).filter(bool), min_size=1, max_size=4)
+    return [Polynomial(ctx, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(gens=drawn_ideals(), kind=st.sampled_from(["lex", "grlex", "grevlex"]))
+def test_buchberger_agrees_with_sympy_on_drawn_ideals(gens, kind):
+    order = ORDERS_BY_NAME[kind]
+    assert monic_set(buchberger(gens, order), order) == sympy_basis(gens, kind)
 
 
 def test_gb_of_mutually_reducing_generators_is_fast(capsys):
