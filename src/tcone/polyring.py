@@ -214,20 +214,13 @@ class Polynomial:
     def __add__(self, other):
         other = self._coerce(other)
         self._check_context(other)
-        res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, Fraction(0)) + c
-            if s == 0:
-                res.pop(m, None)
-            else:
-                res[m] = s
-        return _raw(self.context, res)
+        return _raw(self.context, _add_terms(self.terms, other.terms))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return _raw(self.context, {m: -c for m, c in self.terms.items()})
+        return _raw(self.context, _neg_terms(self.terms))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -236,23 +229,9 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return Polynomial(self.context)
-            return _raw(self.context, {m: a * c for m, a in self.terms.items()})
         other = self._coerce(other)
         self._check_context(other)
-        res: dict[tuple[int, ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(map(_add, m1, m2))
-                s = res.get(m, Fraction(0)) + c1 * c2
-                if s == 0:
-                    res.pop(m, None)
-                else:
-                    res[m] = s
-        return _raw(self.context, res)
+        return _raw(self.context, _mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -260,15 +239,8 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = constant(self.context, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        one = {(0,) * self.context.n: Fraction(1)}
+        return _raw(self.context, _pow_terms(self.terms, exponent, one))
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
@@ -284,6 +256,62 @@ def _raw(context: VariableContext, terms: dict[tuple[int, ...], Fraction]) -> Po
     object.__setattr__(p, "context", context)
     object.__setattr__(p, "terms", terms)
     return p
+
+
+# -- term arithmetic ---------------------------------------------------
+# The loops behind Polynomial's operators, on plain {exponent tuple:
+# coefficient} dicts whose coefficients are ints or Fractions; the parser
+# computes on them too.  Each returns a new dict, except _add_into, which
+# adds into its first argument.  Insertion order is part of the result (a
+# lone survivor of reduce_basis keeps its input's order): a sum keeps a's
+# terms in place, appends b's new monomials and drops a monomial whose
+# coefficient cancels.
+
+
+def _add_terms(a: dict, b: dict) -> dict:
+    return _add_into(dict(a), b)
+
+
+def _add_into(res: dict, b: dict) -> dict:
+    for m, c in b.items():
+        s = res.get(m, 0) + c
+        if s:
+            res[m] = s
+        else:
+            res.pop(m, None)
+    return res
+
+
+def _neg_terms(a: dict) -> dict:
+    return {m: -c for m, c in a.items()}
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The product, accumulated pair by pair with a's terms outermost."""
+    res: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(_add, m1, m2))
+            s = res.get(m, 0) + c1 * c2
+            if s:
+                res[m] = s
+            else:
+                res.pop(m, None)
+    return res
+
+
+def _pow_terms(a: dict, exponent: int, one: dict, mul=_mul_terms) -> dict:
+    """a ** exponent by binary powering from ``one``, the unit's term dict:
+    the result is multiplied by the base at each set bit, and the base is
+    squared before every bit but the last.  Every product is ``mul(x, y)``."""
+    result, base = one, a
+    while exponent:
+        if exponent & 1:
+            result = mul(result, base)
+        if exponent > 1:
+            base = mul(base, base)
+        exponent >>= 1
+    return result
 
 
 # -- constructors ------------------------------------------------------

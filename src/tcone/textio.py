@@ -19,7 +19,15 @@ explicit: ``xy`` is a single identifier, never a product.  Coefficients
 are exact rationals; floating literals are rejected.  Parentheses nest
 at most 100 deep, and a number may not pass the interpreter's
 integer-string digit limit.  Errors name a line and a 1-based column in
-the raw line.  All rendering is deterministic so identical inputs
+the raw line.
+
+Each poly-line is computed on plain term dicts through Polynomial's own
+term arithmetic, with ints where the literals are integers, and becomes
+one Polynomial at the end.  Caps keep any line from hanging: an
+exponent above 1,000,000 (an error at the exponent), a value of total
+degree above 10,000 (at the '^' or '*' that would form it), or more than
+250,000 units of work on one line (at the operator whose step would pass
+it; see _MAX_WORK).  All rendering is deterministic so identical inputs
 produce byte-identical output.
 """
 
@@ -36,8 +44,11 @@ from .polyring import (
     MonomialOrder,
     Polynomial,
     VariableContext,
-    constant,
-    variable,
+    _add_into,
+    _mul_terms,
+    _neg_terms,
+    _pow_terms,
+    _raw,
 )
 
 if TYPE_CHECKING:  # imported where needed: gb, cone and member never need numeric
@@ -65,6 +76,21 @@ class IdealFile(NamedTuple):
 # Deepest parenthesis nesting on a poly-line.  The parser recurses once
 # per level, so the cap keeps it far below the interpreter's limit.
 _MAX_NESTING = 100
+# Caps on what one poly-line may build, so that no short line can hang
+# the parser: the largest '^' exponent, the largest total degree of any
+# value, both checked before a power or product is expanded, and the most
+# work the line may take, charged before each step runs.  Multiplying a
+# term dict of s terms and b coefficient bits by one of t terms and c bits
+# costs s*t pairs of terms, each one unit of work per 8 variables (rounded
+# up), about a microsecond of interpreter time, plus b*c/2**21 units for
+# the coefficient products, counted as schoolbook products of 2**21 bit
+# pairs a unit.  A power is charged for each of its binary-powering
+# products, a sum one unit per term added and a negation one per term.
+# A line over the work cap has run at most _MAX_WORK units, well under a
+# second.
+_MAX_EXPONENT = 1_000_000
+_MAX_DEGREE = 10_000
+_MAX_WORK = 250_000
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
                        r"|(?P<op>[-+*/^()]))")
@@ -94,10 +120,29 @@ def _tokens(raw: str, start: int, lineno: int, source: str) -> list[_Token]:
     return out
 
 
+def _bits(p: dict) -> int:
+    """The summed bit lengths of p's numerators and denominators."""
+    bits = 0
+    for c in p.values():
+        bits += c.numerator.bit_length() + c.denominator.bit_length()
+    return bits
+
+
 def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
                 source: str) -> Polynomial:
-    """The polynomial of one poly-line's tokens, by recursive descent."""
+    """The polynomial of one poly-line's tokens, by recursive descent.
+
+    Values are term dicts, computed with Polynomial's own term arithmetic:
+    an integer literal stays an int and only ``a/b`` is a Fraction, so the
+    one Polynomial built at the end equals, term for term and in dict
+    order, what Polynomial arithmetic on the same text gives.  No value is
+    held twice, so a sum is taken in place.  Each product, power step,
+    sum and negation is charged before it runs (see _MAX_WORK).
+    """
     ahead = toks[::-1]  # a stack: ahead[-1] is the next token, 'end' the last
+    one = (0,) * context.n  # the exponent tuple of a constant
+    pair = -(-context.n // 8)  # the units of work of one pair of terms
+    spent = 0  # the work charged on this line so far
 
     def fail(message: str, tok: _Token):
         raise ParseError(message, lineno, tok[2], source)
@@ -108,55 +153,77 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
         except ValueError:  # beyond the interpreter's int-string digit limit
             fail(f"number longer than {sys.get_int_max_str_digits()} digits", tok)
 
-    def expr(depth: int) -> Polynomial:
-        negate = ahead[-1][0] == "-"
-        if negate:
-            ahead.pop()
+    def check_degree(degree: int, tok: _Token):
+        if degree > _MAX_DEGREE:
+            fail(f"degree {degree} above the cap of {_MAX_DEGREE}", tok)
+
+    def charge(work: int, tok: _Token):
+        nonlocal spent
+        spent += work
+        if spent > _MAX_WORK:
+            fail(f"more than {_MAX_WORK} units of work on one line", tok)
+
+    def product(p: dict, q: dict, tok: _Token) -> dict:
+        charge(len(p) * len(q) * pair + (_bits(p) * _bits(q) >> 21), tok)
+        return _mul_terms(p, q)
+
+    def expr(depth: int) -> dict:
+        minus = ahead.pop() if ahead[-1][0] == "-" else None
         p = term(depth)
-        if negate:
-            p = -p
+        if minus:
+            charge(len(p), minus)
+            p = _neg_terms(p)
         while ahead[-1][0] in ("+", "-"):
-            op = ahead.pop()[0]
+            op = ahead.pop()
             rhs = term(depth)
-            p = p + rhs if op == "+" else p - rhs
+            charge(len(rhs), op)
+            p = _add_into(p, rhs if op[0] == "+" else _neg_terms(rhs))
         return p
 
-    def term(depth: int) -> Polynomial:
+    def term(depth: int) -> dict:
         p = factor(depth)
         while ahead[-1][0] == "*":
-            ahead.pop()
-            p = p * factor(depth)
+            star = ahead.pop()
+            q = factor(depth)
+            check_degree(max(map(sum, p), default=0) + max(map(sum, q), default=0), star)
+            p = product(p, q, star)
         return p
 
-    def factor(depth: int) -> Polynomial:
+    def factor(depth: int) -> dict:
         p = base(depth)
         if ahead[-1][0] == "^":
-            ahead.pop()
+            caret = ahead.pop()
             exponent = ahead.pop()
             if exponent[0] != "nat":
                 fail("'^' requires a natural-number exponent", exponent)
-            p = p ** number(exponent)
+            k = number(exponent)
+            if k > _MAX_EXPONENT:
+                fail(f"exponent above the cap of {_MAX_EXPONENT}", exponent)
+            if k != 1:  # p^1 is p, term for term and in order
+                check_degree(k * max(map(sum, p), default=0), caret)
+                p = _pow_terms(p, k, {one: 1}, lambda a, b: product(a, b, caret))
         return p
 
-    def base(depth: int) -> Polynomial:
+    def base(depth: int) -> dict:
         tok = ahead.pop()
         kind, value, _ = tok
         if kind == "nat":
-            num = number(tok)
-            if ahead[-1][0] != "/":
-                return constant(context, num)
-            ahead.pop()
-            den = ahead.pop()
-            if den[0] != "nat":
-                fail("'/' requires a natural-number denominator", den)
-            d = number(den)
-            if d == 0:
-                fail("zero denominator", den)
-            return constant(context, Fraction(num, d))
+            c = number(tok)
+            if ahead[-1][0] == "/":
+                ahead.pop()
+                den = ahead.pop()
+                if den[0] != "nat":
+                    fail("'/' requires a natural-number denominator", den)
+                d = number(den)
+                if d == 0:
+                    fail("zero denominator", den)
+                c = Fraction(c, d)
+            return {one: c} if c else {}
         if kind == "ident":
             if value not in context.names:
                 fail(f"unknown identifier \"{value}\"", tok)
-            return variable(context, value)
+            i = context.names.index(value)
+            return {one[:i] + (1,) + one[i + 1:]: 1}
         if kind == "(":
             if depth == _MAX_NESTING:
                 fail(f"parentheses nested deeper than {_MAX_NESTING}", tok)
@@ -170,7 +237,7 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
     p = expr(0)
     if ahead[-1][0] != "end":
         fail(f"unexpected {ahead[-1][1]!r}", ahead[-1])
-    return p
+    return _raw(context, {m: Fraction(c) for m, c in p.items()})
 
 
 def parse_ideal(text: str, source: str = "<input>") -> IdealFile:

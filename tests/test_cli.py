@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -255,11 +256,13 @@ def test_verify_sample_radius_below_one_is_one_line(capsys):
 
 
 def test_verify_sample_exponent_beyond_int64_is_one_line(capsys, tmp_path):
+    # The parser's exponent cap refuses it before far sampling runs; far
+    # sampling's own guard is tested in test_numeric.
     path = ideal_file(tmp_path, "vars x y\npoly x^99999999999999999999 - y\n")
     code, out, err = run(capsys, ["verify", "sample", path, "--trials", "3"])
     assert code == 1
     assert out == ""
-    assert err == "error: far sampling needs exponents below 2**63\n"
+    assert err == f"error: {path}:2:8: exponent above the cap of 1000000\n"
 
 
 # -- error handling ----------------------------------------------------------------
@@ -277,6 +280,21 @@ def test_deep_nesting_is_one_error_line(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == f"error: {path}:2:106: parentheses nested deeper than 100\n"
+
+
+@pytest.mark.parametrize("line,message", [
+    ("(x + y + 1)^100000", "2:17: degree 100000 above the cap of 10000"),
+    ("x^1000000000", "2:8: exponent above the cap of 1000000"),
+    ("(x + y + z + 1)^400", "2:21: more than 250000 units of work on one line"),
+    ("(7^10000)^10000", "2:15: more than 250000 units of work on one line"),
+])
+@pytest.mark.parametrize("command", ["gb", "cone"])
+def test_line_over_a_parse_cap_exits_one_at_once(capsys, tmp_path, command, line, message):
+    path = ideal_file(tmp_path, f"vars x y z\npoly {line}\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, [command, path])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", f"error: {path}:{message}\n")
 
 
 def test_missing_file_exit_one(capsys):

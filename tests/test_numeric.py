@@ -427,6 +427,9 @@ def test_sampling_rejects_bad_inputs(xy):
     u, = variables(ctx1)
     with pytest.raises(ValueError):
         sample_far_directions(u, 1e6, 5, seed=0)
+    # The parser caps exponents far lower; this guard serves library callers.
+    with pytest.raises(ValueError, match=r"exponents below 2\*\*63"):
+        far_sample_report(x**(10**20) - y, radius=1e6, trials=3)
 
 
 def test_sampling_rejects_bad_radius(xy):

@@ -37,6 +37,8 @@ def test_tracer_rebinds_every_name_and_restores_it(tracing, capsys):
     namespaces = [tcone] + list(mods.values())
     before = [dict(vars(ns)) for ns in namespaces]
     class_before = {cls: dict(c.__dict__) for cls, c in classes.items()}
+    f, g = mods["textio"].parse_ideal(Path(FIVELINES).read_text()).polynomials
+    product = f * g
 
     with tracing.Tracer(tcone) as tracer:
         for (mod, fn), original in originals.items():
@@ -44,6 +46,9 @@ def test_tracer_rebinds_every_name_and_restores_it(tracing, capsys):
         for (cls, meth), original in methods.items():
             assert classes[cls].__dict__[meth] is not original, (cls, meth)
         assert mods["cli"].main(["cone", FIVELINES]) == 0
+        # The parser computes on term dicts, so Polynomial.__mul__ is
+        # reached here through the intersection's w * f.
+        assert tcone.ideal_intersect([f], [g]) == [product]
     assert capsys.readouterr().out.splitlines() == ["x*y", "y^3*z - y*z^3", "x^3*z"]
 
     names = {span[0] for span in tracer.spans}

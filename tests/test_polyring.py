@@ -119,6 +119,62 @@ def test_multiply_difference_of_squares(xy):
     assert (x - y) * (x + y) == x**2 - y**2
 
 
+def reference_add(a, b):
+    res = dict(a)
+    for m, c in b.items():
+        s = res.get(m, Fraction(0)) + c
+        if s == 0:
+            res.pop(m, None)
+        else:
+            res[m] = s
+    return res
+
+
+def reference_mul(a, b):
+    res = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            s = res.get(m, Fraction(0)) + c1 * c2
+            if s == 0:
+                res.pop(m, None)
+            else:
+                res[m] = s
+    return res
+
+
+def reference_pow(a, e, n):
+    result, base = {(0,) * n: Fraction(1)}, a
+    while e:
+        if e & 1:
+            result = reference_mul(result, base)
+        base = reference_mul(base, base) if e > 1 else base
+        e >>= 1
+    return result
+
+
+def test_operators_keep_the_term_loops_order():
+    # The operators' terms, in dict order, equal those of the Fraction loops
+    # they have always run, written out here; reduce_basis can expose the order.
+    ctx = VariableContext(("x", "y", "z"))
+    rng = random.Random(13)
+    for _ in range(150):
+        f, g = random_poly(ctx, rng), random_poly(ctx, rng)
+        h = f + g * Fraction(rng.randint(-3, 3), rng.randint(1, 3))  # shares monomials
+        k = rng.randint(0, 5)
+        for got, want in [
+            (f + g, reference_add(f.terms, g.terms)),
+            (h - f, reference_add(h.terms, {m: -c for m, c in f.terms.items()})),
+            (-h, {m: -c for m, c in h.terms.items()}),
+            (f * h, reference_mul(f.terms, h.terms)),
+            (Fraction(-2, 3) * h, {m: c * Fraction(-2, 3) for m, c in h.terms.items()}),
+            (h * 0, {}),
+            (h ** k, reference_pow(h.terms, k, 3)),
+        ]:
+            assert list(got.terms.items()) == list(want.items())
+            assert all(type(c) is Fraction for c in got.terms.values())
+
+
 def test_multiply_by_zero(xy):
     ctx, x, y = xy
     assert (zero(ctx) * (x**2 - y**3)).is_zero()

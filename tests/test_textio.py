@@ -1,15 +1,20 @@
 import json
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tcone import textio
 from tcone.cone import tangent_cone_at_infinity
 from tcone.groebner import buchberger
 from tcone.numeric import TSchedule, loj_ratio_schedule
-from tcone.polyring import GREVLEX, VariableContext
+from tcone.polyring import GREVLEX, VariableContext, constant, variable
 from tcone.textio import (
     ParseError,
+    _tokens,
     dumps,
     format_complex,
     parse_ideal,
@@ -20,6 +25,8 @@ from tcone.textio import (
 )
 
 from test_polyring import random_poly
+
+DATA = Path(__file__).parent / "data"
 
 FIVE_LINES_TEXT = """\
 # the five-lines example
@@ -151,6 +158,197 @@ def test_parse_zero_line_allowed_among_nonzero(xy):
     ideal = parse_ideal("vars x y\npoly x - x\npoly y\n")
     assert ideal.polynomials[0].is_zero()
     assert ideal.polynomials[1] == y
+
+
+# -- parse_ideal against Polynomial arithmetic ---------------------------------
+
+
+def polynomial_of(line, context):
+    """The poly-line's expression evaluated with Polynomial arithmetic: every
+    literal, variable and partial result a Polynomial, as the parser once
+    computed it.  The reference for the parser's term-dict route."""
+    ahead = _tokens(line, 0, 1, "<reference>")[::-1]
+
+    def expr():
+        negate = ahead[-1][0] == "-"
+        if negate:
+            ahead.pop()
+        p = -term() if negate else term()
+        while ahead[-1][0] in ("+", "-"):
+            op = ahead.pop()[0]
+            p = p + term() if op == "+" else p - term()
+        return p
+
+    def term():
+        p = factor()
+        while ahead[-1][0] == "*":
+            ahead.pop()
+            p = p * factor()
+        return p
+
+    def factor():
+        p = base()
+        if ahead[-1][0] == "^":
+            ahead.pop()
+            p = p ** int(ahead.pop()[1])
+        return p
+
+    def base():
+        kind, value, _ = ahead.pop()
+        if kind == "ident":
+            return variable(context, value)
+        if kind == "(":
+            p = expr()
+            assert ahead.pop()[0] == ")"
+            return p
+        if ahead[-1][0] == "/":
+            ahead.pop()
+            return constant(context, Fraction(int(value), int(ahead.pop()[1])))
+        return constant(context, int(value))
+
+    p = expr()
+    assert ahead[-1][0] == "end"
+    return p
+
+
+def assert_parses_as_polynomial_arithmetic(text):
+    """Each poly-line of text parses to the reference's terms, in dict order,
+    with Fraction coefficients."""
+    ideal = parse_ideal(text)
+    lines = [raw.strip()[4:] for raw in text.splitlines() if raw.strip().startswith("poly")]
+    assert len(lines) == len(ideal.polynomials)
+    for line, got in zip(lines, ideal.polynomials):
+        want = polynomial_of(line, ideal.context)
+        assert list(got.terms.items()) == list(want.terms.items()), line
+        assert all(type(c) is Fraction for c in got.terms.values()), line
+
+
+@st.composite
+def poly_lines(draw, depth=0):
+    """A poly-line expression in x, y, z: unary minus, a/b literals, powers
+    up to 3, parentheses nested two deep, and terms that cancel."""
+    def factor():
+        kind = draw(st.integers(0, 3 if depth < 2 else 2))
+        if kind == 0:
+            base = draw(st.sampled_from(["x", "y", "z"]))
+        elif kind == 1:
+            base = str(draw(st.integers(0, 12)))
+        elif kind == 2:
+            base = f"{draw(st.integers(0, 12))}/{draw(st.integers(1, 6))}"
+        else:
+            base = "(" + draw(poly_lines(depth + 1)) + ")"
+        return base + draw(st.sampled_from(["", "", "^0", "^1", "^2", "^3"]))
+
+    def term():
+        return "*".join(factor() for _ in range(draw(st.integers(1, 3))))
+
+    text = draw(st.sampled_from(["", "-"])) + term()
+    for _ in range(draw(st.integers(0, 3))):
+        text += draw(st.sampled_from([" + ", " - "])) + term()
+    if draw(st.booleans()):  # a new term in between, then all of text cancels
+        text = f"{text} + {term()} - ({text})"
+    return text
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(poly_lines())
+def test_parse_equals_polynomial_arithmetic_on_drawn_lines(line):
+    assert_parses_as_polynomial_arithmetic(f"vars x y z\npoly {line}\npoly 1\n")
+
+
+def test_parse_equals_polynomial_arithmetic_on_files():
+    for path in sorted(DATA.glob("*.ideal")):
+        text = path.read_text()
+        if path.name == "broken.ideal":
+            with pytest.raises(ParseError):
+                parse_ideal(text)
+        else:
+            assert_parses_as_polynomial_arithmetic(text)
+    assert_parses_as_polynomial_arithmetic(
+        "vars x y z\n"
+        "poly 2^0 + x*3/4 - (-y^3*x^3*y^2)^3*2*(-2*y*y + 7*x)\n"
+        "poly -(2*y*x + 7*x)^3 - (x^3*y - 3/4^0 - z^2*x^2)^2\n")
+
+
+# -- parse caps -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("line,expected", [
+    ("x^1000000000", "2:8: exponent above the cap of 1000000"),
+    ("2^1000001", "2:8: exponent above the cap of 1000000"),
+    ("(x + y + 1)^100000", "2:17: degree 100000 above the cap of 10000"),
+    ("x^5000*y^5001", "2:12: degree 10001 above the cap of 10000"),
+    ("(x + y + 1)^200", "2:17: more than 250000 units of work on one line"),
+    ("(x + y + z + 1)^400", "2:21: more than 250000 units of work on one line"),
+    ("(7^10000)^10000", "2:15: more than 250000 units of work on one line"),
+    ("(7^10000*x + 7^10000*y + 1)^30", "2:33: more than 250000 units of work on one line"),
+])
+def test_parse_caps(line, expected):
+    with pytest.raises(ParseError) as info:
+        parse_ideal(f"vars x y z\npoly {line}\n")
+    assert str(info.value) == "<input>:" + expected
+
+
+def test_parse_caps_admit_their_bounds(xy):
+    ctx, x, y = xy
+    ideal = parse_ideal("vars x y\npoly x^10000 + x^5000*y^5000 + 1^1000000 + 0^1000000\n")
+    assert ideal.polynomials == (x**10000 + x**5000 * y**5000 + 1,)
+    assert parse_ideal("vars x y\npoly 2^15000*x\n").polynomials == (2**15000 * x,)
+    assert len(parse_ideal("vars x y\npoly (x + y + 1)^50\n").polynomials[0].terms) == 1326
+
+
+def work_of(text, monkeypatch):
+    """The least work cap under which text parses; the cap is left there."""
+    lo, hi = 0, 1_000_000
+    while lo < hi:
+        monkeypatch.setattr(textio, "_MAX_WORK", (lo + hi) // 2)
+        try:
+            parse_ideal(text)
+            hi = (lo + hi) // 2
+        except ParseError as exc:
+            assert "units of work" in str(exc)
+            lo = (lo + hi) // 2 + 1
+    monkeypatch.setattr(textio, "_MAX_WORK", lo)
+    return lo
+
+
+def test_parse_work_cap_counts_every_step(monkeypatch):
+    # Five sums of two terms added one at a time (10 units), products of
+    # 3 terms by 3, 6, 10 and 15 (102 units), and the negation of the 21
+    # terms (21 units): 133 in all, the last at the '-'.
+    line = "-((x+y+1)*(x+y+1)*(x+y+1)*(x+y+1)*(x+y+1))"
+    assert work_of(f"vars x y\npoly {line}\n", monkeypatch) == 133
+    monkeypatch.setattr(textio, "_MAX_WORK", 132)
+    with pytest.raises(ParseError) as info:
+        parse_ideal(f"vars x y\npoly {line}\n")
+    assert str(info.value) == "<input>:2:6: more than 132 units of work on one line"
+
+
+def test_parse_work_cap_counts_bits_and_variables(monkeypatch):
+    # A product also pays its operands' summed coefficient bits multiplied
+    # over 2**21, and a pair of terms costs a unit per 8 variables.
+    power = work_of("vars x\npoly 7^5000\n", monkeypatch)
+    bits = (7**5000).bit_length() + 1
+    assert work_of("vars x\npoly 7^5000*7^5000\n", monkeypatch) == \
+        2 * power + 1 + (bits * bits >> 21)
+    eight = " ".join(f"v{i}" for i in range(8))
+    assert work_of(f"vars {eight}\npoly (v0 + v7)*(v0 - v7)\n", monkeypatch) == 2 + 4
+    assert work_of(f"vars {eight} v8\npoly (v0 + v7)*(v0 - v7)\n", monkeypatch) == 2 + 8
+
+
+def test_parse_work_cap_charges_what_each_step_copies(monkeypatch):
+    # '^1' leaves a value as it is, and a sum adds into the value built so
+    # far, paying for the terms added and not for a copy of that value.
+    body = "*".join("(" + " + ".join(f"{v}^{i}" for i in range(100)) + ")" for v in "xy")
+    cost = work_of(f"vars x y\npoly {body}\n", monkeypatch)
+    expected = parse_ideal(f"vars x y\npoly {body}\n").polynomials
+    assert len(expected[0].terms) == 10_000
+    assert work_of(f"vars x y\npoly {body} + x\n", monkeypatch) == cost + 1
+    monkeypatch.setattr(textio, "_MAX_WORK", cost)
+    for line in ["(" * 99 + body + ")^1" * 99, body + " + 0" * 20_000]:
+        start = time.perf_counter()
+        assert parse_ideal(f"vars x y\npoly {line}\n").polynomials == expected
+        assert time.perf_counter() - start < 1.0
 
 
 # -- parse_point --------------------------------------------------------------
