@@ -44,13 +44,20 @@ class EvaluationOverflowError(ArithmeticError):
 
 
 class TSchedule:
-    """Geometric schedule t_k = t0 * factor**k, k = 0..steps-1."""
+    """Geometric schedule t_k = t0 * factor**k, k = 0..steps-1, every t_k finite."""
 
     __slots__ = ("t0", "factor", "steps")
 
     def __init__(self, t0: float = 10.0, factor: float = 10.0, steps: int = 5):
-        if not (t0 > 0 and factor > 1 and steps >= 1):
-            raise ValueError("need t0 > 0, factor > 1, steps >= 1")
+        if not (0 < t0 < math.inf and 1 < factor < math.inf and steps >= 1):
+            raise ValueError("need finite t0 > 0, finite factor > 1, steps >= 1")
+        try:
+            finite = t0 * factor ** (steps - 1) < math.inf
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(f"the schedule leaves double precision: "
+                             f"t0 * factor**{steps - 1} overflows")
         self.t0 = t0
         self.factor = factor
         self.steps = steps
@@ -101,6 +108,16 @@ class FarSamples(NamedTuple):
     trials: int
     skipped: int
     seed: int
+
+
+def _require_positive(what: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"the {what} must be positive and finite, not {value:g}")
+
+
+def _require_fraction(what: str, value: float) -> None:
+    if not 0 < value <= 1:
+        raise ValueError(f"the {what} must lie in (0, 1], not {value:g}")
 
 
 def _coefficient(c) -> complex:
@@ -454,8 +471,11 @@ def far_sample_report(f: Polynomial, radius: float = 1e6, trials: int = 100,
     """Sampling evidence that far directions annihilate the top form of f.
 
     Passes when at least ``min_fraction`` of the retained directions
-    give a top-form residual below ``residual_tol``.
+    give a top-form residual below ``residual_tol``.  ``residual_tol``
+    must be positive and finite, and ``min_fraction`` lie in (0, 1].
     """
+    _require_positive("residual tolerance", residual_tol)
+    _require_fraction("minimum fraction", min_fraction)
     directions, skipped = _far_points(f, radius, trials, seed)
     residuals = abs(_evaluate_rows(_compile(leading_form(f)), directions))
     if not len(residuals):
@@ -507,8 +527,11 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
     like a power of t on cone directions and converges to a positive
     constant when some top form survives at v.  A constant generator
     means V is empty, and so is its cone: every value is n/a and the
-    verdict is fail.
+    verdict is fail.  ``pass_decay`` must lie in (0, 1], and
+    ``plateau_tol`` be positive and finite.
     """
+    _require_fraction("pass decay", pass_decay)
+    _require_positive("plateau tolerance", plateau_tol)
     gens = list(F)
     if any(g.is_zero() for g in gens) or not gens:
         raise ValueError("generators must be nonzero")
@@ -587,16 +610,17 @@ def _real_jacobian(evaluate: Callable[..., tuple[complex, ...]], n: int,
     """The real Jacobian of the residual vector at point.
 
     ``evaluate`` gives the partials dg_i/dz_j row by row; each fills the
-    2x2 block [[re, -im], [im, re]] of rows 2i, 2i+1 and columns 2j, 2j+1.
+    2x2 block [[re, -im], [im, re]] of rows 2i, 2i+1 and columns 2j, 2j+1,
+    written as four strided assignments of the whole partials matrix.
     """
     import numpy as np
-    values = evaluate(*point.tolist())
-    rows = []
-    for k in range(0, len(values), n):
-        row = values[k:k + n]
-        rows.append([x for d in row for x in (d.real, -d.imag)])
-        rows.append([x for d in row for x in (d.imag, d.real)])
-    return np.array(rows)
+    d = np.array(evaluate(*point.tolist())).reshape(-1, n)
+    re, im = d.real, d.imag
+    J = np.empty((2 * len(d), 2 * n))
+    J[0::2, 0::2] = J[1::2, 1::2] = re
+    J[1::2, 0::2] = im
+    J[0::2, 1::2] = -im
+    return J
 
 
 @functools.lru_cache(maxsize=_CACHED_TABLES)
@@ -631,9 +655,11 @@ def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
     converges when every normalized residual |g_i(z)| / max(1,||z||)**deg(g_i)
     drops below ``residual_tol``; the returned bound is the smallest
     finite ||x0 - z|| over converged runs, hence an upper bound on the
-    true distance up to that residual tolerance.  ``converged`` is false
-    when no run lands at a finite distance.
+    true distance up to that residual tolerance, which must be positive
+    and finite.  ``converged`` is false when no run lands at a finite
+    distance.
     """
+    _require_positive("residual tolerance", residual_tol)
     import numpy as np
     gens = [g for g in F if not g.is_zero()]
     if not gens:
@@ -729,7 +755,43 @@ def _tangential_polish(residual_at, jacobian, x0, landed, eye) -> ComplexPoint:
     return tuple(z)
 
 
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(a, b) for a float64 square matrix and vector, bit for bit.
+
+    It calls the gufunc that np.linalg.solve wraps (``solve1``, whose
+    float64 loop is LAPACK's gesv) without the wrapper's checks and
+    errstate.  A singular pivot gives an all-NaN solution and sets the
+    invalid flag, where np.linalg.solve raises LinAlgError; call it under
+    ``np.errstate(all="ignore")``, or the flag becomes a RuntimeWarning.
+    """
+    import numpy as np
+    return np.linalg._umath_linalg.solve1(a, b)
+
+
 def _levenberg_run(residual_at, jacobian, start, eye) -> ComplexPoint | None:
+    """Damped Gauss-Newton (Levenberg) iterations from start; the landed point or None.
+
+    Each iteration solves (J^T J + damping * I) delta = -J^T res.  A step
+    is accepted when it strictly lowers the squared residual; the damping,
+    first _INITIAL_DAMPING, then falls tenfold to no less than 1e-15.
+    Otherwise (a cost no lower, a residual that overflows, or a singular
+    pivot) the damping rises tenfold and the same iteration solves again,
+    until it passes 1e12 and the run gives up.  The run returns the first
+    point that lands, and None after _MAX_ITERATIONS or once a step is
+    below 1e-16 of ||z||.
+
+    The solve goes through _solve, the gufunc behind np.linalg.solve,
+    because on these 4x4 to 6x6 systems the wrapper cost three to four
+    times the solve itself.  A singular pivot returns all NaN instead of
+    raising LinAlgError, and takes the branch LinAlgError took (damping
+    * 10, solve again), so every step and every bit are those of
+    np.linalg.solve.  An all-NaN solution that np.linalg.solve returned
+    without raising (NaN spread from an overflowed J^T J) takes the same
+    branch, as it did then through the overflow of its residual; a
+    solution with some NaN entries is tried as a step, as before.  The
+    caller must hold ``np.errstate(all="ignore")``: a singular pivot sets
+    the invalid flag, and far out J^T J may overflow.
+    """
     import numpy as np
     z = np.array(start, dtype=complex)
     try:
@@ -746,9 +808,8 @@ def _levenberg_run(residual_at, jacobian, start, eye) -> ComplexPoint | None:
         b = -(J.T @ res)
         accepted = False
         while damping <= 1e12:
-            try:
-                delta = np.linalg.solve(A + damping * eye, b)
-            except np.linalg.LinAlgError:
+            delta = _solve(A + damping * eye, b)
+            if delta[0] != delta[0] and np.isnan(delta).all():  # all NaN
                 damping *= 10
                 continue
             step = delta[0::2] + 1j * delta[1::2]
@@ -785,8 +846,12 @@ def distance_ratio_report(F: Sequence[Polynomial], v: Sequence[complex], sched: 
     step on cone directions and plateaus at a positive level otherwise;
     solver non-convergence at any step makes the report inconclusive.
     A nonzero constant generator means V is empty: every value is n/a
-    and the verdict is fail, as in ``loj_ratio_schedule``.
+    and the verdict is fail, as in ``loj_ratio_schedule``.  The
+    thresholds are checked as there and in ``estimate_distance_upper``.
     """
+    _require_positive("residual tolerance", residual_tol)
+    _require_fraction("pass decay", pass_decay)
+    _require_positive("plateau tolerance", plateau_tol)
     if all(z == 0 for z in v):
         raise ValueError("direction must be nonzero")
     vv = tuple(complex(z) for z in v)

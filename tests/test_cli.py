@@ -319,6 +319,22 @@ USAGE_ERRORS = {
     "zero-denominator-imaginary": ["verify", "distance", CUSP, "--direction", "1,0+1/0i"],
     "long-coordinate-point": ["member", CUSP, "--point", "7" * 5000 + ",1"],
     "long-coordinate-direction": ["verify", "ratio", CUSP, "--direction", "1," + "7" * 5000],
+    "min-fraction-above-one": ["verify", "sample", CUSP, "--min-fraction", "2"],
+    "min-fraction-zero": ["verify", "sample", CUSP, "--min-fraction", "0"],
+    "negative-sample-tol": ["verify", "sample", CUSP, "--sample-tol", "-1"],
+    "nan-sample-tol": ["verify", "sample", CUSP, "--sample-tol", "nan"],
+    "negative-residual-tol": ["verify", "distance", CUSP, "--direction", "0,1",
+                              "--residual-tol", "-1"],
+    "infinite-plateau-tol": ["verify", "distance", CUSP, "--direction", "0,1",
+                             "--plateau-tol", "inf"],
+    "pass-decay-above-one": ["verify", "ratio", CUSP, "--direction", "0,1",
+                             "--pass-decay", "1.5"],
+    "negative-plateau-tol": ["verify", "ratio", CUSP, "--direction", "0,1",
+                             "--plateau-tol", "-0.1"],
+    "infinite-t0": ["verify", "ratio", CUSP, "--direction", "0,1", "--t0", "inf"],
+    "infinite-factor": ["verify", "distance", CUSP, "--direction", "0,1", "--factor", "inf"],
+    "overflowing-schedule": ["verify", "ratio", CUSP, "--direction", "0,1",
+                             "--factor", "1e200", "--steps", "3"],
 }
 
 

@@ -626,6 +626,39 @@ def test_ratio_rejects_bad_inputs(five_lines):
         TSchedule(10, 1, 3)
     with pytest.raises(ValueError):
         TSchedule(-1, 10, 3)
+    for t0, factor, steps in ((math.inf, 10, 3), (10, math.inf, 3), (math.nan, 10, 3),
+                              (10, 1e200, 3), (1e300, 1e10, 5)):
+        with pytest.raises(ValueError):
+            TSchedule(t0, factor, steps)
+    assert TSchedule(1e300, 1e10, 1).values() == [1e300]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, 1.5, math.inf, math.nan])
+def test_reports_reject_fractions_outside_unit_interval(five_lines, xy, bad):
+    ctx, f1, f2 = five_lines
+    with pytest.raises(ValueError, match="pass decay must lie in"):
+        loj_ratio_schedule([f1, f2], (0, 0, 1), TSchedule(), pass_decay=bad)
+    with pytest.raises(ValueError, match="pass decay must lie in"):
+        distance_ratio_report([f1, f2], (0, 0, 1), TSchedule(), pass_decay=bad)
+    _, x, y = xy
+    with pytest.raises(ValueError, match="minimum fraction must lie in"):
+        far_sample_report(y**2 - x**3, min_fraction=bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
+def test_reports_reject_tolerances_not_positive_finite(five_lines, xy, bad):
+    ctx, f1, f2 = five_lines
+    with pytest.raises(ValueError, match="plateau tolerance must be positive"):
+        loj_ratio_schedule([f1, f2], (0, 0, 1), TSchedule(), plateau_tol=bad)
+    with pytest.raises(ValueError, match="plateau tolerance must be positive"):
+        distance_ratio_report([f1, f2], (0, 0, 1), TSchedule(), plateau_tol=bad)
+    with pytest.raises(ValueError, match="residual tolerance must be positive"):
+        distance_ratio_report([f1, f2], (0, 0, 1), TSchedule(), residual_tol=bad)
+    with pytest.raises(ValueError, match="residual tolerance must be positive"):
+        estimate_distance_upper([f1, f2], (0, 0, 1), residual_tol=bad)
+    _, x, y = xy
+    with pytest.raises(ValueError, match="residual tolerance must be positive"):
+        far_sample_report(y**2 - x**3, residual_tol=bad)
 
 
 # -- distance estimation ----------------------------------------------------------
