@@ -5,7 +5,8 @@ largest workspace term first and tries divisors in list order, Buchberger
 uses the normal selection strategy (minimal lcm degree, ties broken by
 pair index) through a heap keyed on (lcm degree, i, j), and bases are
 returned in the reduced canonical form (monic, inter-reduced, sorted
-ascending by leading monomial) that is unique per ideal and order.
+ascending by leading monomial, each element's terms descending) that is
+unique per ideal and order, term order included.
 
 Reduction runs on integer numerators over plain exponent tuples.  Each
 divisor enters as a reducer (leading exponents, leading coefficient,
@@ -16,10 +17,11 @@ the order's negated key.  Which divisor reduces a term depends only on
 monomials, and a multiple of a divisor cancels a term just as the
 divisor does, so the reductions are those of division over the
 rationals, in the same order, and every remainder and basis is
-identical to the rational one, term for term.  ``buchberger`` stays on
-reducers from its inputs to its final remainders, the only elements
-made Fractions, and stops with a BasisLimitError past ``_MAX_BASIS``
-elements or ``_DEADLINE_S`` seconds.
+identical to the rational one, term for term.  ``normal_form`` divides
+by a Basis's reducers, a plain sequence made one first.  ``buchberger``
+stays on reducers from its inputs to its final remainders, the only
+elements made Fractions, and stops with a BasisLimitError past
+``_MAX_BASIS`` elements or ``_DEADLINE_S`` seconds.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .polyring import (
     ELIM_FIRST,
     constant,
     leading_term,
-    monic,
     variable,
     _raw,
 )
@@ -68,12 +69,12 @@ class Basis:
     """An ordered generating set under a fixed monomial order.
 
     Immutable; equal and hashed by (generators, order).  The basis that
-    buchberger hands to reduce_basis holds its reducers and their sources
-    and builds its generators only when asked.
+    buchberger hands to reduce_basis holds only its reducers and builds
+    its generators only when asked.
     """
 
     def __init__(self, generators: tuple[Polynomial, ...], order: MonomialOrder):
-        self.__dict__.update(generators=generators, order=order, _sources=generators)
+        self.__dict__.update(generators=generators, order=order)
 
     def __setattr__(self, name, value):
         raise AttributeError("Basis is immutable")
@@ -89,7 +90,7 @@ class Basis:
         return iter(self.generators)
 
     def __len__(self):
-        return len(self._sources)
+        return len(vars(self).get("generators") or self._reducers)
 
     @cached_property
     def context(self) -> VariableContext:
@@ -97,9 +98,8 @@ class Basis:
 
     @cached_property
     def generators(self) -> tuple[Polynomial, ...]:
-        """Each source, or else its reducer made monic."""
-        return tuple(s or _monic(self.context, _terms(r))
-                     for s, r in zip(self._sources, self._reducers))
+        """The reducers made monic."""
+        return tuple(_monic(self.context, _terms(r)) for r in self._reducers)
 
     @cached_property
     def _reducers(self) -> list[tuple]:
@@ -123,19 +123,18 @@ def normal_form(f: Polynomial, divisors, order: MonomialOrder | None = None) -> 
     a leading monomial of a divisor, and f minus the result lies in the
     ideal the divisors generate.
     """
-    if isinstance(divisors, Basis):
-        order = divisors.order
-        gens = divisors.generators
-    else:
+    if not isinstance(divisors, Basis):
         if order is None:
             raise ValueError("order required when divisors are a plain sequence")
-        gens = tuple(divisors)
+        divisors = Basis(tuple(divisors), order)
+    gens = divisors.generators
     if any(g.is_zero() for g in gens):
         raise ZeroIdealError("zero divisor polynomial")
-    if gens:
-        _shared_context((f,) + gens)
-    reducers = divisors._reducers if isinstance(divisors, Basis) else _reducers(gens, order)
-    return _normal_form(f, reducers, order.negated_key)
+    _shared_context((f,) + gens)
+    p, d = _integer_terms(f)
+    remainder, scale = _reduce(p, divisors._reducers, divisors.order.negated_key)
+    d *= scale
+    return _raw(f.context, {e: Fraction(c, d) for e, c in remainder.items()})
 
 
 def _integer_terms(f: Polynomial) -> tuple[dict[tuple[int, ...], int], int]:
@@ -218,14 +217,6 @@ def _reduce(p: dict[tuple[int, ...], int], reducers, nkey,
     return remainder, scale
 
 
-def _normal_form(f: Polynomial, reducers, nkey) -> Polynomial:
-    """normal_form of f by divisors already made reducers."""
-    p, d = _integer_terms(f)
-    remainder, scale = _reduce(p, reducers, nkey)
-    d *= scale
-    return _raw(f.context, {e: Fraction(c, d) for e, c in remainder.items()})
-
-
 def _s_polynomial(a, b) -> dict[tuple[int, ...], int]:
     """Integer terms of a nonzero multiple of the S-polynomial of two reducers.
 
@@ -256,31 +247,28 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomi
         - g * _raw(g.context, {tuple(map(sub, l, gm)): 1 / gc})
 
 
-def _interreduced(R: list, S: list, nkey, deadline: float) -> tuple[list, list]:
-    """The reducers R of the inputs S after interreduction, the first step
-    of GROEBNERNEWS2 (Becker & Weispfenning 1993, p. 203), with their sources.
+def _interreduced(R: list, nkey, deadline: float) -> list:
+    """The reducers R after interreduction, the first step of
+    GROEBNERNEWS2 (Becker & Weispfenning 1993, p. 203).
 
     Each pass reduces every element by the ones before it and drops the
-    zeros; passes repeat until one changes nothing.  An element that no
-    pass changes keeps its input as its source; a changed one has None.
+    zeros; passes repeat until one changes nothing.  An element with no
+    term that an earlier lead divides is kept as it is, unreduced.
     Without this step, generators that reduce one another can make the
     coefficients of the S-polynomial remainders grow for minutes.
     """
-    kept = list(zip(S, R))
     while True:
-        before = [r for _, r in kept]
         passed = []
-        for k, (s, r) in enumerate(kept):
-            lead, lc, tail = r
-            if not any(all(map(le, h[0], e)) for h in before[:k] for e in (lead, *dict(tail))):
-                passed.append((s, r))  # no term to reduce
+        for k, r in enumerate(R):
+            if not any(all(map(le, h[0], e)) for h in R[:k] for e in _terms(r)):
+                passed.append(r)  # no term to reduce
                 continue
-            remainder, _ = _reduce(_terms(r), before[:k], nkey, deadline)
+            remainder, _ = _reduce(_terms(r), R[:k], nkey, deadline)
             if remainder:
-                passed.append((None, _reducer(remainder, next(iter(remainder)))))
-        if passed == kept:
-            return [r for _, r in kept], [s for s, _ in kept]
-        kept = passed
+                passed.append(_reducer(remainder, next(iter(remainder))))
+        if passed == R:
+            return R
+        R = passed
 
 
 def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
@@ -304,7 +292,7 @@ def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
     ctx = _shared_context(gens)
     deadline = monotonic() + _DEADLINE_S
     nkey = order.negated_key
-    R, S = _interreduced(_reducers(gens, order), gens, nkey, deadline)
+    R = _interreduced(_reducers(gens, order), nkey, deadline)
     if any(not any(r[0]) for r in R):
         return Basis((constant(ctx, 1),), order)
     lm = [r[0] for r in R]
@@ -336,14 +324,13 @@ def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
         if len(R) == _MAX_BASIS:
             raise BasisLimitError(f"Groebner basis passed {_MAX_BASIS} elements")
         R.append(_reducer(r, lead))
-        S.append(None)
         lm.append(lead)
         new = len(R) - 1
         for k in range(new):
             pending.add((k, new))
             heappush(queue, (sum(map(max, lm[k], lead)), k, new))
     basis = Basis.__new__(Basis)
-    basis.__dict__.update(context=ctx, _reducers=R, _sources=S, order=order)
+    basis.__dict__.update(context=ctx, _reducers=R, order=order)
     return reduce_basis(basis, order)
 
 
@@ -351,27 +338,24 @@ def reduce_basis(G: Sequence[Polynomial] | Basis, order: MonomialOrder) -> Basis
     """Canonical reduced form of a Groebner basis.
 
     Drops generators whose leading monomial is divisible by another's,
-    tail-reduces each of the rest against the others on G's reducers
-    (a Basis under this order reuses any it has), makes them monic, and
-    sorts ascending by leading monomial.  A lone survivor with a source
-    (the input it still is) keeps its terms in that order.
+    tail-reduces each of the rest against the others on G's reducers (a
+    Basis under this order is taken as it is), makes each remainder
+    monic, its terms descending, and sorts ascending by leading monomial.
     """
-    if not (isinstance(G, Basis) and G.order == order and "_reducers" in vars(G)):
+    if not (isinstance(G, Basis) and G.order == order):
         gens = tuple(g for g in G if not g.is_zero())
         if not gens:
             raise ZeroIdealError("zero ideal")
         G = Basis(gens, order)
     key = order.exponent_key
-    minimal: list[tuple] = []
-    for r, s in sorted(zip(G._reducers, G._sources), key=lambda rs: key(rs[0][0])):
-        if not any(all(map(le, h[0], r[0])) for h, _ in minimal):
-            minimal.append((r, s))
+    R: list[tuple] = []
+    for r in sorted(G._reducers, key=lambda r: key(r[0])):
+        if not any(all(map(le, h[0], r[0])) for h in R):
+            R.append(r)
     # The leading monomials of a minimal basis are distinct and already ascending.
-    R = [r for r, _ in minimal]
     nkey = order.negated_key
-    return Basis(tuple(monic(s, order) if s and len(R) == 1
-                       else _monic(G.context, _reduce(_terms(r), R[:k] + R[k + 1:], nkey)[0])
-                       for k, (r, s) in enumerate(minimal)), order)
+    return Basis(tuple(_monic(G.context, _reduce(_terms(r), R[:k] + R[k + 1:], nkey)[0])
+                       for k, r in enumerate(R)), order)
 
 
 def ideal_member(f: Polynomial, basis: Basis) -> bool:

@@ -43,14 +43,23 @@ class EvaluationOverflowError(ArithmeticError):
     """Polynomial evaluation left the double-precision range."""
 
 
+# Work caps, checked before any work: a distance report costs about
+# 30 ms a step, far sampling about 50 us a trial.
+_MAX_STEPS = 100
+_MAX_TRIALS = 100_000
+_PLATEAU_SPAN = 10.0  # least t_last / t_first over a plateau's three steps (100 by default)
+
+
 class TSchedule:
-    """Geometric schedule t_k = t0 * factor**k, k = 0..steps-1, every t_k finite."""
+    """Geometric schedule t_k = t0 * factor**k, k < steps <= _MAX_STEPS, every t_k finite."""
 
     __slots__ = ("t0", "factor", "steps")
 
     def __init__(self, t0: float = 10.0, factor: float = 10.0, steps: int = 5):
         if not (0 < t0 < math.inf and 1 < factor < math.inf and steps >= 1):
             raise ValueError("need finite t0 > 0, finite factor > 1, steps >= 1")
+        if steps > _MAX_STEPS:
+            raise ValueError(f"a schedule has at most {_MAX_STEPS} steps, not {steps}")
         try:
             finite = t0 * factor ** (steps - 1) < math.inf
         except OverflowError:
@@ -384,6 +393,8 @@ def _far_points(f: Polynomial, radius: float, trials: int,
         raise ValueError("sampling needs a nonconstant polynomial")
     if not 1 <= radius < math.inf:
         raise ValueError("the radius must be at least 1 and finite")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"far sampling runs at most {_MAX_TRIALS:,} trials, not {trials:,}")
     # f compiled once in scaled form: term t contributes
     # scaled[t] * exp(i * sum_k e_tk * theta_k) * w**e_tj
     d = total_degree(f)
@@ -472,7 +483,8 @@ def far_sample_report(f: Polynomial, radius: float = 1e6, trials: int = 100,
 
     Passes when at least ``min_fraction`` of the retained directions
     give a top-form residual below ``residual_tol``.  ``residual_tol``
-    must be positive and finite, and ``min_fraction`` lie in (0, 1].
+    must be positive and finite, ``min_fraction`` lie in (0, 1], and
+    ``trials`` be at most _MAX_TRIALS.
     """
     _require_positive("residual tolerance", residual_tol)
     _require_fraction("minimum fraction", min_fraction)
@@ -502,20 +514,18 @@ def _fit_decay_exponent(samples: Sequence[tuple[float, float | None]]) -> float 
     pts = [(math.log(t), math.log(v)) for t, v in samples if v is not None and v > 0]
     if len(pts) < 2:
         return None
-    xs = np.array([x for x, _ in pts])
-    ys = np.array([y for _, y in pts])
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return slope
+    return float(np.polyfit([x for x, _ in pts], [y for _, y in pts], 1)[0])
 
 
-def _is_plateau(values: Sequence[float], plateau_tol: float) -> bool:
-    tail = [v for v in values[-3:]]
-    if len(tail) < 3 or any(v is None for v in tail):
+def _is_plateau(samples: Sequence[tuple[float, float | None]], plateau_tol: float) -> bool:
+    """Whether the last three (t, value) samples vary by less than
+    plateau_tol relative to their largest, over a span of at least
+    _PLATEAU_SPAN in t."""
+    tail = [v for _, v in samples[-3:]]
+    if len(tail) < 3 or None in tail or samples[-1][0] < _PLATEAU_SPAN * samples[-3][0]:
         return False
-    low, high = min(tail), max(tail)
-    if high == 0:
-        return False
-    return (high - low) / high < plateau_tol
+    high = max(tail)
+    return high > 0 and (high - min(tail)) / high < plateau_tol
 
 
 def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
@@ -565,7 +575,7 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
         verdict = PASS
         diagnostics = (f"strict decay, r(last)/r(first) = "
                        f"{values[-1] / values[0]:.3e} < {pass_decay:g}")
-    elif _is_plateau(values, plateau_tol) and values[-1] > 0:
+    elif _is_plateau(samples, plateau_tol) and values[-1] > 0:
         verdict = FAIL
         diagnostics = (f"plateau near {values[-1]:.6g} over the last three steps "
                        f"(variation < {plateau_tol:g})")
@@ -878,9 +888,10 @@ def distance_ratio_report(F: Sequence[Polynomial], v: Sequence[complex], sched: 
         diagnostics = "ray lies on the variety: distance bound is zero throughout"
     elif values[0] > 0 and values[-1] <= pass_decay * values[0]:
         verdict = PASS
+        factor = values[0] / values[-1] if values[-1] else math.inf
         diagnostics = (f"ratio falls from {values[0]:.6g} to {values[-1]:.6g} "
-                       f"(factor {values[0] / values[-1]:.3g})")
-    elif _is_plateau(values, plateau_tol) and values[-1] > 0:
+                       f"(factor {factor:.3g})")
+    elif _is_plateau(samples, plateau_tol) and values[-1] > 0:
         verdict = FAIL
         diagnostics = (f"ratio plateaus near {values[-1]:.6g}: "
                        "the direction is not in the cone")

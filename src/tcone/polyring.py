@@ -206,31 +206,29 @@ class Polynomial:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _check_context(self, other: "Polynomial"):
-        if self.context != other.context:
-            raise ContextMismatchError(
-                f"contexts differ: {self.context.names} vs {other.context.names}")
-
     def __add__(self, other):
         other = self._coerce(other)
-        self._check_context(other)
+        if other is NotImplemented:
+            return other
         return _raw(self.context, _add_terms(self.terms, other.terms))
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self):
         return _raw(self.context, _neg_terms(self.terms))
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        return other if other is NotImplemented else (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
-        self._check_context(other)
+        if other is NotImplemented:
+            return other
         return _raw(self.context, _mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
@@ -243,7 +241,12 @@ class Polynomial:
         return _raw(self.context, _pow_terms(self.terms, exponent, one))
 
     def _coerce(self, other) -> "Polynomial":
+        """other as a Polynomial in this context, or else NotImplemented,
+        which each operator returns so that Python raises TypeError."""
         if isinstance(other, Polynomial):
+            if self.context != other.context:
+                raise ContextMismatchError(
+                    f"contexts differ: {self.context.names} vs {other.context.names}")
             return other
         if isinstance(other, (int, Fraction)):
             return constant(self.context, other)
@@ -262,9 +265,9 @@ def _raw(context: VariableContext, terms: dict[tuple[int, ...], Fraction]) -> Po
 # The loops behind Polynomial's operators, on plain {exponent tuple:
 # coefficient} dicts whose coefficients are ints or Fractions; the parser
 # computes on them too.  Each returns a new dict, except _add_into, which
-# adds into its first argument.  Insertion order is part of the result (a
-# lone survivor of reduce_basis keeps its input's order): a sum keeps a's
-# terms in place, appends b's new monomials and drops a monomial whose
+# adds into its first argument.  Insertion order is part of the result
+# (verify sample sums the parsed polynomial's terms in it): a sum keeps
+# a's terms in place, appends b's new monomials and drops a monomial whose
 # coefficient cancels.
 
 

@@ -48,8 +48,9 @@ def cases():
     yield "katsura3", katsura(3)
     yield "cyclic4", cyclic(4)
     yield "hang", ideal((ROOT / "data" / "hang.ideal").read_text())
-    # A lone generator that interreduction keeps, with a lead that is not
-    # monic and, in the second, not its first term.
+    # One basis element, with a lead that is not monic and not always the
+    # first term typed; in the third the second generator reduces to 0.
+    # The element lists its terms descending however the input was typed.
     yield "lone", ideal("vars x y\npoly 3*y^2 + 2*x - 1\n")
     yield "lone-lead-last", ideal("vars x y\npoly 2*x - 1 + 3*y^2\n")
     yield "lone-of-two", ideal("vars x y\npoly 2*x - 1 + 3*y^2\npoly x*(2*x - 1 + 3*y^2)\n")

@@ -9,6 +9,9 @@ import pytest
 
 import tcone
 from tcone.cli import main
+from tcone.groebner import buchberger
+from tcone.polyring import ORDERS_BY_NAME
+from tcone.textio import parse_ideal
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -19,6 +22,7 @@ WHOLERING = str(DATA / "wholering.ideal")
 BROKEN = str(DATA / "broken.ideal")
 DEGREE8 = str(DATA / "degree8.ideal")
 MIXED = str(DATA / "mixed.ideal")
+PARABOLA = str(DATA / "parabola.ideal")
 
 
 def run(capsys, args):
@@ -207,6 +211,50 @@ def test_verify_distance_overflow_is_inconclusive(capsys, tmp_path):
         assert err.startswith("verdict: inconclusive (solver did not converge at t = ")
 
 
+def test_verify_distance_ray_meeting_v_passes(capsys):
+    # t*(0, 1) meets V at t = 1e5, so the last ratio is 0 and the first is
+    # not; (0, 1) lies on the cone V(x^2).
+    code, out, err = run(capsys, ["verify", "distance", PARABOLA, "--direction", "0,1"])
+    assert code == 0
+    assert "t=100000 value=0.0" in out
+    assert err == "verdict: pass (ratio falls from 8659.68 to 0 (factor inf))\n"
+
+
+@pytest.mark.parametrize("kind,path,direction", [("distance", CUSP, "1,0"),
+                                                 ("ratio", FIVELINES, "0,0,1")])
+def test_fine_schedule_on_a_cone_direction_is_inconclusive(capsys, kind, path, direction):
+    # The last three of 20 steps at factor 1.01 span 2% of t: too short to
+    # call a plateau, which needs a factor of 10.
+    code, _, err = run(capsys, ["verify", kind, path, "--direction", direction,
+                                "--factor", "1.01", "--steps", "20"])
+    assert code == 3
+    assert err == "verdict: inconclusive (neither clear decay nor a plateau over this schedule)\n"
+
+
+SPELLINGS = [
+    ("vars x y\npoly 2*x - 1 + 3*y^2\n", "vars x y\npoly 3*y^2 + 2*x - 1\n"),
+    ("vars x y\npoly x^3*y - 2*x*y^2 + y^3 + 5*x - 7\n",
+     "vars x y\npoly -7 + 5*x + y^3 - 2*x*y^2 + x^3*y\n"),
+]
+
+
+@pytest.mark.parametrize("first,second", SPELLINGS, ids=["three-terms", "five-terms"])
+def test_answers_do_not_depend_on_the_spelling(capsys, tmp_path, first, second):
+    # One ideal typed in two term orders: its reduced basis lists the same
+    # terms in the same order, so the ray reports print the same bytes.
+    a, b = parse_ideal(first).polynomials, parse_ideal(second).polynomials
+    assert list(a[0].terms.items()) != list(b[0].terms.items())
+    for kind in ("lex", "grlex", "grevlex"):
+        order = ORDERS_BY_NAME[kind]
+        assert ([list(g.terms.items()) for g in buchberger(a, order)]
+                == [list(g.terms.items()) for g in buchberger(b, order)]), kind
+    for kind in ("ratio", "distance"):
+        first_out, second_out = (
+            run(capsys, ["verify", kind, ideal_file(tmp_path, text),
+                         "--direction", "1,1", "--json"])[:2] for text in (first, second))
+        assert first_out == second_out, kind
+
+
 # -- verify sample ----------------------------------------------------------------
 
 
@@ -335,6 +383,9 @@ USAGE_ERRORS = {
     "infinite-factor": ["verify", "distance", CUSP, "--direction", "0,1", "--factor", "inf"],
     "overflowing-schedule": ["verify", "ratio", CUSP, "--direction", "0,1",
                              "--factor", "1e200", "--steps", "3"],
+    "steps-above-cap": ["verify", "distance", CUSP, "--direction", "0,1",
+                        "--factor", "1.01", "--steps", "101"],
+    "trials-above-cap": ["verify", "sample", CUSP, "--trials", "100001"],
 }
 
 

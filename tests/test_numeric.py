@@ -633,6 +633,20 @@ def test_ratio_rejects_bad_inputs(five_lines):
     assert TSchedule(1e300, 1e10, 1).values() == [1e300]
 
 
+def test_schedule_steps_and_sampling_trials_are_capped(xy, monkeypatch):
+    assert len(TSchedule(10, 1.01, numeric._MAX_STEPS).values()) == numeric._MAX_STEPS
+    with pytest.raises(ValueError, match=f"at most {numeric._MAX_STEPS} steps"):
+        TSchedule(10, 1.01, numeric._MAX_STEPS + 1)
+    _, x, y = xy
+
+    def drawn(*args):
+        raise AssertionError("angle table drawn before the trials were checked")
+
+    monkeypatch.setattr(numeric, "_angle_table", drawn)
+    with pytest.raises(ValueError, match="at most 100,000 trials"):
+        far_sample_report(y**2 - x**3, trials=numeric._MAX_TRIALS + 1)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, 1.5, math.inf, math.nan])
 def test_reports_reject_fractions_outside_unit_interval(five_lines, xy, bad):
     ctx, f1, f2 = five_lines
@@ -759,6 +773,34 @@ def test_distance_report_fails_on_whole_ring():
     assert report.diagnostics == "a generator is a nonzero constant: V is empty"
     assert all(r is None for _, r in report.samples)
     assert report.fitted_decay_exponent is None
+
+
+@pytest.mark.parametrize("report", [loj_ratio_schedule, distance_ratio_report])
+def test_two_steps_off_the_cone_are_inconclusive(xy, report):
+    # (1, 1) is off the cone V(x*y) of <x*y - 1000>, but two steps can show
+    # neither a decay nor a plateau.
+    ctx, x, y = xy
+    result = report([x * y - 1000], (1, 1), TSchedule(1000, 10, 2))
+    assert result.verdict == "inconclusive"
+    assert result.diagnostics == "neither clear decay nor a plateau over this schedule"
+    assert all(r > 0 for _, r in result.samples)
+
+
+@pytest.mark.parametrize("report", [loj_ratio_schedule, distance_ratio_report])
+def test_plateau_needs_the_last_three_steps_to_span_a_factor_of_ten(xy, report):
+    # Off the cone V(x^2) of <y - x^2>, the ratios level off.  Three steps
+    # that span less than a factor of 10 in t are too short to call that
+    # a plateau, however flat.
+    ctx, x, y = xy
+    gens = [y - x**2]
+    assert report(gens, (1, 1), TSchedule(10, 10, 5)).verdict == "fail"
+    fine = report(gens, (1, 1), TSchedule(1e4, 1.01, 5))
+    assert fine.verdict == "inconclusive"
+    values = [r for _, r in fine.samples]
+    assert (max(values[-3:]) - min(values[-3:])) / max(values[-3:]) < 0.1  # flat
+    span = numeric._PLATEAU_SPAN
+    assert numeric._is_plateau([(1, 1.0), (span / 2, 1.0), (span, 1.0)], 0.1)
+    assert not numeric._is_plateau([(1, 1.0), (span / 2, 1.0), (span * 0.99, 1.0)], 0.1)
 
 
 @pytest.mark.parametrize("report", [loj_ratio_schedule, distance_ratio_report])

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from operator import add, neg
+from operator import add, mul, neg, sub
 
 import pytest
 
@@ -178,6 +178,19 @@ def test_operators_keep_the_term_loops_order():
 def test_multiply_by_zero(xy):
     ctx, x, y = xy
     assert (zero(ctx) * (x**2 - y**3)).is_zero()
+
+
+@pytest.mark.parametrize("other", [1.5, "y"])
+@pytest.mark.parametrize("op", [add, sub, mul], ids=["+", "-", "*"])
+def test_unsupported_operand_is_a_type_error(xy, op, other):
+    # Each operator returns NotImplemented, so Python raises TypeError on
+    # both sides; with a str, str's own sequence error may come first.
+    ctx, x, y = xy
+    match = "unsupported operand" if isinstance(other, float) else None
+    with pytest.raises(TypeError, match=match):
+        op(x, other)
+    with pytest.raises(TypeError, match=match):
+        op(other, x)
 
 
 # -- differentiate ------------------------------------------------------
