@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .polyring import Polynomial, differentiate, total_degree, leading_form
@@ -153,7 +154,8 @@ def _compiled_source(source: str):
     return compile(source, "<evaluator>", "exec")
 
 
-def _evaluator(polys: Sequence[Compiled], n: int) -> Callable[..., tuple[complex, ...]]:
+def _evaluator(polys: Sequence[Compiled], n: int,
+               jacobian: bool = False) -> Callable[..., Sequence]:
     """One function of x0..x{n-1} (Python complex) returning the value of each of ``polys``.
 
     The function is generated straight-line code: each power x_i ** e is
@@ -163,6 +165,12 @@ def _evaluator(polys: Sequence[Compiled], n: int) -> Callable[..., tuple[complex
     coefficients are bound through the namespace.  It raises
     EvaluationOverflowError when a power overflows or a value is not
     finite.
+
+    With ``jacobian``, ``polys`` are the partials dg_k/dz_j of m
+    generators, row by row (k * n + j), and the function returns the
+    real Jacobian of the generators' real and imaginary parts as one
+    flat list of floats: for each generator the row [re, -im, ...] and
+    then the row [im, re, ...] over its n partials, 2m rows of 2n.
     """
     namespace = {"isfinite": math.isfinite, "Overflow": EvaluationOverflowError,
                  "MESSAGE": _OVERFLOW}
@@ -174,6 +182,13 @@ def _evaluator(polys: Sequence[Compiled], n: int) -> Callable[..., tuple[complex
             namespace[f"c{k}_{t}"] = c
             factors = [f"c{k}_{t}"] + [powers.setdefault((i, e), f"x{i}_{e}") for i, e in exps]
             sums.append(f"v{k} += {' * '.join(factors)}")
+    result = "values"
+    if jacobian:  # the partials of one generator are v{g}, ..., v{g + n - 1}
+        rows = []
+        for g in range(0, len(polys), n):
+            rows += [f"v{k}.real, -v{k}.imag, " for k in range(g, g + n)]
+            rows += [f"v{k}.imag, v{k}.real, " for k in range(g, g + n)]
+        result = f"[{''.join(rows)}]"
     source = "\n".join([
         f"def evaluate({', '.join(f'x{i}' for i in range(n))}):",
         "    try:",
@@ -186,7 +201,7 @@ def _evaluator(polys: Sequence[Compiled], n: int) -> Callable[..., tuple[complex
         "    for v in values:",
         "        if not (isfinite(v.real) and isfinite(v.imag)):",
         "            raise Overflow(MESSAGE)",
-        "    return values"])
+        f"    return {result}"])
     exec(_compiled_source(source), namespace)
     return namespace["evaluate"]
 
@@ -336,11 +351,19 @@ def substitute_partial(f: Polynomial, fixed: Mapping[str, complex],
 
 
 def _norm(point: Sequence[complex]) -> float:
-    """The Euclidean norm, or inf when a square leaves double precision."""
+    """The Euclidean norm, or inf when a square leaves double precision.
+
+    The squares are added left to right from 0.0, as in an explicit loop:
+    sum() of floats is compensated (Neumaier) from Python 3.12 on, which
+    would change the last bit of some norms with the Python version.
+    """
+    total = 0.0
     try:
-        return math.sqrt(sum(abs(z) ** 2 for z in point))
+        for z in point:
+            total += abs(z) ** 2
     except OverflowError:
         return math.inf
+    return math.sqrt(total)
 
 
 # The seeded tables below depend only on their arguments, so each is drawn
@@ -424,10 +447,22 @@ def _far_points(f: Polynomial, radius: float, trials: int,
     size = np.abs(coeffs)
     above = size[:, :0:-1] > 1e-30 * size.max(axis=1)[:, None]  # columns d, ..., 1
     degree = np.where(above.any(axis=1), d - above.argmax(axis=1), 0)
+    # A row of degree m whose lowest nonzero column is k has w**k as a
+    # factor: its first k roots are exactly 0, and _aberth solves only the
+    # quotient, columns k..m.  Far out the lower terms of a high power
+    # underflow to 0, and on w**k itself p and p' underflow together, so
+    # the iteration would stop unconverged at |w| well above 0.
+    low = (coeffs != 0).argmax(axis=1)  # column m is nonzero, so k <= m
+    group = degree * (d + 1) + low  # (m, k) as one integer
     found, owner = [np.zeros((0, n), dtype=complex)], [np.zeros(0, dtype=int)]
-    for m in sorted(set(degree.tolist()) - {0}):  # np.unique would load numpy.ma
-        at = np.flatnonzero(degree == m)  # in trial order
-        w, _, _ = _aberth(coeffs[at, :m + 1] / coeffs[at, m, None], 1e-12)
+    for key in sorted(set(group.tolist())):  # np.unique would load numpy.ma
+        m, k = divmod(key, d + 1)
+        if not m:
+            continue
+        at = np.flatnonzero(group == key)  # in trial order
+        w = np.zeros((len(at), m), dtype=complex)
+        if k < m:
+            w[:, k:] = _aberth(coeffs[at, k:m + 1] / coeffs[at, m, None], 1e-12)[0]
         points = np.repeat(units[at, None, :], m, axis=1)
         points[np.arange(len(at))[:, None], np.arange(m), free[at, None]] = w
         # ||z|| >= R in scaled form: |u_k| = 1 makes it hold for every
@@ -451,8 +486,10 @@ def sample_far_directions(f: Polynomial, radius: float, trials: int,
     * w**e_j.  R must be at least 1 and finite, so no coefficient
     grows, and the top-degree terms, which decide the far directions,
     keep their size; below 1 the lower terms would swamp them.  All
-    trials of one degree are solved together by the batched Aberth
-    solver; points with ||(u, w)|| >= 1 (the rule ||z|| >= R) are
+    trials of one degree and one lowest nonzero power w**k are solved
+    together by the batched Aberth solver, which finds the roots of the
+    quotient by w**k; the other k roots are exactly 0.  Points with
+    ||(u, w)|| >= 1 (the rule ||z|| >= R) are
     normalized and kept, in the order of trials, then roots.
     Deterministic for a fixed seed.
     """
@@ -593,7 +630,7 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
 
 
 def _residual_at(evaluate: Callable[..., tuple[complex, ...]], degrees: Sequence[int],
-                 tol: float, point: np.ndarray) -> tuple[np.ndarray, bool]:
+                 tol: float, point: Sequence[complex]) -> tuple[np.ndarray, bool]:
     """The real residual vector of the generators at point, and whether it lands.
 
     One evaluation of each generator serves both.  The point lands on V
@@ -603,9 +640,8 @@ def _residual_at(evaluate: Callable[..., tuple[complex, ...]], degrees: Sequence
     precision.
     """
     import numpy as np
-    xs = point.tolist()
-    values = evaluate(*xs)
-    scale = max(1.0, _norm(xs))
+    values = evaluate(*point)
+    scale = max(1.0, _norm(point))
     if scale == math.inf:  # inf**d would let every point land
         raise EvaluationOverflowError("the norm overflowed double precision")
     try:
@@ -615,22 +651,17 @@ def _residual_at(evaluate: Callable[..., tuple[complex, ...]], degrees: Sequence
     return np.array(values).view(float), lands  # (re g_0, im g_0, re g_1, ...)
 
 
-def _real_jacobian(evaluate: Callable[..., tuple[complex, ...]], n: int,
-                   point: np.ndarray) -> np.ndarray:
+def _real_jacobian(partials: Callable[..., list[float]], n: int,
+                   point: Sequence[complex]) -> np.ndarray:
     """The real Jacobian of the residual vector at point.
 
-    ``evaluate`` gives the partials dg_i/dz_j row by row; each fills the
-    2x2 block [[re, -im], [im, re]] of rows 2i, 2i+1 and columns 2j, 2j+1,
-    written as four strided assignments of the whole partials matrix.
+    ``partials`` is the generators' partials evaluator with the Jacobian
+    epilogue (``_evaluator(..., jacobian=True)``): it already lays out
+    the 2x2 block [[re, -im], [im, re]] of each partial dg_i/dz_j in
+    rows 2i, 2i+1 and columns 2j, 2j+1, as one flat list.
     """
     import numpy as np
-    d = np.array(evaluate(*point.tolist())).reshape(-1, n)
-    re, im = d.real, d.imag
-    J = np.empty((2 * len(d), 2 * n))
-    J[0::2, 0::2] = J[1::2, 1::2] = re
-    J[1::2, 0::2] = im
-    J[0::2, 1::2] = -im
-    return J
+    return np.array(partials(*point)).reshape(-1, 2 * n)
 
 
 @functools.lru_cache(maxsize=_CACHED_TABLES)
@@ -679,7 +710,8 @@ def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
     if len(x0) != n:
         raise ValueError(f"start point has {len(x0)} entries, expected {n}")
     degrees = [total_degree(g) for g in gens]
-    partials = _evaluator([_compile(differentiate(g, j)) for g in gens for j in range(n)], n)
+    partials = _evaluator([_compile(differentiate(g, j)) for g in gens for j in range(n)], n,
+                          jacobian=True)
     evaluate = _evaluator([_compile(g) for g in gens], n)
 
     residual_at = functools.partial(_residual_at, evaluate, degrees, residual_tol)
@@ -715,9 +747,42 @@ def _vector_norm(x: np.ndarray) -> float:
     """float(np.linalg.norm(x)) for a 1-D array, bit for bit, without its
     wrapper: the square root of the same dot products."""
     if x.dtype.kind == "c":
-        re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
+        return _interleaved_norm(x.real, x.imag)
     return math.sqrt(x.dot(x))
+
+
+def _interleaved_norm(re: np.ndarray, im: np.ndarray) -> float:
+    """The norm of the complex vector re + i*im, as _vector_norm takes it."""
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _steps(delta: Sequence[float]) -> list[complex]:
+    """The complex vector delta[0::2] + 1j * delta[1::2], bit for bit as
+    numpy forms it: 1j * (i + 0j) is (0*i - 0, 0*0 + i), then the real
+    part r, as r + 0j, is added."""
+    return [complex(r + (0.0 * i - 0.0), 0.0 + (0.0 + i))
+            for r, i in zip(delta[0::2], delta[1::2])]
+
+
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(a, b, rcond=None)[0] for a float64 matrix and vector, bit for bit.
+
+    It calls the gufunc that np.linalg.lstsq wraps on numpy 2 (LAPACK's
+    gelsd, with the wrapper's default rcond, eps * max(a.shape)) without
+    the wrapper's conversions and errstate; numpy 1 names that gufunc
+    differently, and there the public call is made.  A gelsd failure
+    (SVD non-convergence) gives rank -1 and an all-NaN solution, and
+    raises LinAlgError as np.linalg.lstsq does.
+    """
+    import numpy as np
+    gufunc = getattr(np.linalg._umath_linalg, "lstsq", None)
+    if gufunc is None:  # numpy < 2
+        return np.linalg.lstsq(a, b, rcond=None)[0]
+    x, _, rank, _ = gufunc(a, b[:, None], sys.float_info.epsilon * max(a.shape),
+                          signature="ddd->ddid")
+    if rank < 0:
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+    return x[:, 0]
 
 
 def _tangential_polish(residual_at, jacobian, x0, landed, eye) -> ComplexPoint:
@@ -728,34 +793,39 @@ def _tangential_polish(residual_at, jacobian, x0, landed, eye) -> ComplexPoint:
     cycle strictly shrinks ||x0 - z||, so the result is still a
     residual-certified landing, only nearer to x0.  Deterministic; a
     best-effort local improvement, not a certified nearest point.
+
+    Points are lists of Python complex, as in _levenberg_run.  numpy
+    forms only J @ d, the least-squares solve (_lstsq, the gufunc behind
+    np.linalg.lstsq) and the norms' dot products; the differences, the
+    step and each trial z + alpha * step are formed in Python with the
+    operations numpy performs, so every bit is that of the same loop on
+    numpy arrays.
     """
     import numpy as np
-    z = np.array(landed, dtype=complex)
-    target = np.array(x0, dtype=complex)
-    best = _vector_norm(z - target)
+    z = list(landed)
+    best = _vector_norm(np.array([a - b for a, b in zip(z, x0)]))
     if best == 0:
         return landed
     for _ in range(_POLISH_CYCLES):
-        d = target - z
-        d_real = np.empty(2 * len(z))
-        d_real[0::2] = d.real
-        d_real[1::2] = d.imag
+        d = [a - b for a, b in zip(x0, z)]
+        d_real = np.array([x for c in d for x in (c.real, c.imag)])
         J = jacobian(z)
-        normal = np.linalg.lstsq(J, J @ d_real, rcond=None)[0]
-        tangent = d_real - normal
+        tangent = d_real - _lstsq(J, J @ d_real)
         t_norm = _vector_norm(tangent)
         if t_norm < 1e-13 * (1.0 + best):
             break
-        step = tangent[0::2] + 1j * tangent[1::2]
+        step = _steps(tangent.tolist())
         alpha = 1.0
         improved = False
         while alpha > 1e-4:
-            trial = z + alpha * step
-            reprojected = _levenberg_run(residual_at, jacobian, tuple(trial), eye)
+            # alpha * s as numpy multiplies: (alpha + 0j) * s
+            trial = [x + complex(alpha * s.real - 0.0 * s.imag, alpha * s.imag + 0.0 * s.real)
+                     for x, s in zip(z, step)]
+            reprojected = _levenberg_run(residual_at, jacobian, trial, eye)
             if reprojected is not None:
                 dist = _dist(x0, reprojected)
                 if dist < best * (1 - 1e-12):
-                    z = np.array(reprojected, dtype=complex)
+                    z = list(reprojected)
                     best = dist
                     improved = True
                     break
@@ -790,6 +860,11 @@ def _levenberg_run(residual_at, jacobian, start, eye) -> ComplexPoint | None:
     point that lands, and None after _MAX_ITERATIONS or once a step is
     below 1e-16 of ||z||.
 
+    The point z is a list of Python complex.  numpy runs only what its
+    bits depend on: J^T J, J^T res, the solve, res @ res and the dot
+    products of the norms.  Each step is read from delta.tolist() and
+    the candidate z + step formed in Python with numpy's operations
+    (_steps), so every bit is that of the same loop on numpy arrays.
     The solve goes through _solve, the gufunc behind np.linalg.solve,
     because on these 4x4 to 6x6 systems the wrapper cost three to four
     times the solve itself.  A singular pivot returns all NaN instead of
@@ -803,7 +878,7 @@ def _levenberg_run(residual_at, jacobian, start, eye) -> ComplexPoint | None:
     the invalid flag, and far out J^T J may overflow.
     """
     import numpy as np
-    z = np.array(start, dtype=complex)
+    z = list(start)
     try:
         res, lands = residual_at(z)
     except EvaluationOverflowError:
@@ -819,11 +894,11 @@ def _levenberg_run(residual_at, jacobian, start, eye) -> ComplexPoint | None:
         accepted = False
         while damping <= 1e12:
             delta = _solve(A + damping * eye, b)
-            if delta[0] != delta[0] and np.isnan(delta).all():  # all NaN
+            d = delta.tolist()
+            if d[0] != d[0] and all(x != x for x in d):  # all NaN
                 damping *= 10
                 continue
-            step = delta[0::2] + 1j * delta[1::2]
-            candidate = z + step
+            candidate = [x + s for x, s in zip(z, _steps(d))]
             try:
                 cand_res, cand_lands = residual_at(candidate)
             except EvaluationOverflowError:
@@ -840,7 +915,11 @@ def _levenberg_run(residual_at, jacobian, start, eye) -> ComplexPoint | None:
             return None
         if lands:
             return tuple(z)
-        if _vector_norm(step) < 1e-16 * (1.0 + _vector_norm(z)):
+        # ||step|| from delta itself: a step's real part r + (0*i - 0)
+        # differs from r only in the sign of a zero, which squares the
+        # same, or where i is not finite, which makes both norms NaN or
+        # inf and the test false.
+        if _interleaved_norm(delta[0::2], delta[1::2]) < 1e-16 * (1.0 + _vector_norm(np.array(z))):
             return None
     return None
 

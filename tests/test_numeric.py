@@ -156,6 +156,26 @@ def test_vector_norm_bit_identical_to_numpy():
         assert numeric._vector_norm(np.array([1e200j, 3.0])) == math.inf
 
 
+def test_norm_adds_squares_left_to_right():
+    """_norm is the square root of the squares added left to right from
+    0.0, on every Python version.  sum() of floats is compensated from
+    Python 3.12 on, and a compensated sum differs here in many cases."""
+    rng = random.Random(16)
+    compensated_differs = 0
+    for _ in range(20000):
+        point = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10.0 ** rng.randint(-8, 8)
+                 for _ in range(rng.randint(1, 3))]
+        squares = [abs(z) ** 2 for z in point]
+        total = 0.0
+        for square in squares:
+            total += square
+        assert struct.pack("d", numeric._norm(point)) == struct.pack("d", math.sqrt(total))
+        compensated_differs += math.fsum(squares) != total
+    assert compensated_differs > 500
+    assert numeric._norm([]) == 0.0
+    assert numeric._norm([1e200j, 1.0]) == math.inf  # the square overflows
+
+
 def test_evaluate_complex_overflow(xy):
     ctx, x, y = xy
     with pytest.raises(EvaluationOverflowError):
@@ -479,8 +499,9 @@ def far_points_reference(f, radius, trials, seed):
     default_rng([seed, trial]) per trial, its restriction's coefficients
     summed term by term, and its kept roots divided by their norms on
     their own.  Only the root solve is shared: it runs on the rows of
-    each degree, in trial order, as _aberth's batched arithmetic depends
-    on the batch's nonzero columns."""
+    each degree and lowest nonzero column k, in trial order, as _aberth's
+    batched arithmetic depends on the batch's nonzero columns; the first
+    k roots of such a row are exactly 0, and _aberth solves the rest."""
     n, d = f.context.n, total_degree(f)
     exps = np.array(list(f.terms), dtype=np.int64)
     scaled = np.array([complex(float(c)) * radius ** (sum(e) - d) for e, c in f.terms.items()])
@@ -496,14 +517,18 @@ def far_points_reference(f, radius, trials, seed):
             coeffs[exps[t, j]] += terms[t]
         size = np.abs(coeffs).tolist()
         m = next((k for k in range(d, 0, -1) if size[k] > 1e-30 * max(size)), 0)
-        by_degree.setdefault(m, []).append(trial)
+        k = next(k for k in range(d + 1) if coeffs[k] != 0)
+        by_degree.setdefault((m, k) if m else 0, []).append(trial)
         rows[trial], units[trial] = coeffs, np.exp(1j * theta)
     kept = {}
-    for m, group in by_degree.items():
-        if m == 0:
+    for key, group in by_degree.items():
+        if key == 0:
             continue
-        a = np.array([rows[t][:m + 1] / rows[t][m] for t in group])
-        w, _, _ = numeric._aberth(a, 1e-12)
+        m, low = key
+        w = np.zeros((len(group), m), dtype=complex)
+        if low < m:
+            a = np.array([rows[t][low:m + 1] / rows[t][m] for t in group])
+            w[:, low:] = numeric._aberth(a, 1e-12)[0]
         for k, trial in enumerate(group):
             points = np.repeat(units[trial][None, :], m, axis=0)
             points[:, trial % n] = w[k]
@@ -547,6 +572,40 @@ def test_far_sampling_bit_identical_to_per_trial_reference():
         residuals = np.abs(rows_reference(leading_form(f), np.array(want).reshape(-1, n)))
         assert repr(report.samples) == repr(tuple((radius, r) for r in residuals.tolist())
                                             or ((radius, None),)), (f, radius, trials, seed)
+
+
+def test_far_sampling_exact_zero_roots(xy):
+    """Far out, the lower terms of x^400 - y + 1 underflow: a free x meets
+    w^400, whose roots are exactly 0, and a free y meets a constant, and
+    is skipped.  So _aberth has nothing to solve.  Undeflated, each w^400
+    row ran 360 sweeps and ended unconverged with roots up to |w| = 0.17."""
+    _, x, y = xy
+    f = x**400 - y + 1
+
+    def solved(a, tol):
+        raise AssertionError(f"_aberth handed {a.shape[0]} rows of degree {a.shape[1] - 1}")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(numeric, "_aberth", solved)
+        samples = sample_far_directions(f, 1e6, 4, 7)
+        report = far_sample_report(f, 1e6, 4, 7)
+    assert samples.skipped == 2  # trials 1 and 3
+    assert len(samples.directions) == 2 * 400  # trials 0 and 2, every root kept
+    assert all(u[0] == 0 for u in samples.directions)
+    assert report.verdict == "pass"
+    assert all(r == 0 for _, r in report.samples)
+
+
+def test_far_sampling_deflates_below_a_nonzero_constant():
+    """A row w^k * q(w) with q(0) != 0 keeps its k zero roots exact, and
+    _aberth solves q alone."""
+    ctx = VariableContext(("x", "y"))
+    x, y = variables(ctx)
+    # free x: w^3 * (w^2 + u^2), u the unit phase of y (R = 1), so k = 3
+    samples = sample_far_directions(x**5 + x**3 * y**2, 1.0, 1, 3)
+    xs = [u[0] for u in samples.directions]
+    assert sum(z == 0 for z in xs) == 3
+    assert all(abs(z) > 0.1 for z in xs if z != 0)
 
 
 def test_seeded_tables_are_cached_read_only():
@@ -707,9 +766,10 @@ def test_distance_landing_is_residual_certified(five_lines):
     for g in basis.generators:
         d = total_degree(g)
         assert abs(evaluate_complex(g, est.landed)) / scale**d < tol
-    landed_dist = math.sqrt(sum(abs(a - b) ** 2
-                                for a, b in zip((0, 0, 100.0), est.landed)))
-    assert est.bound == landed_dist
+    squares = 0.0
+    for a, b in zip((0, 0, 100.0), est.landed):
+        squares += abs(a - b) ** 2
+    assert est.bound == math.sqrt(squares)
 
 
 def test_distance_exact_direction_lower_bound(five_lines):
