@@ -14,10 +14,12 @@ same zero set.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Sequence
 
-from .groebner import Basis, buchberger
-from .polyring import MonomialOrder, Polynomial, evaluate_exact, leading_form
+from .groebner import Basis, _vanish, buchberger
+from .polyring import MonomialOrder, Polynomial, leading_form
 
 
 class ConeDescription(NamedTuple):
@@ -47,8 +49,22 @@ def tangent_cone_at_infinity(F: Sequence[Polynomial], order: MonomialOrder) -> C
 
 
 def cone_membership(cone: ConeDescription, v) -> bool:
-    """Exact membership of a rational point in the cone variety."""
-    return all(evaluate_exact(g, v) == 0 for g in cone.generators)
+    """Exact membership of a rational point in the cone variety.
+
+    Each entry of v is read as Fraction(x), so ints, Fractions and floats
+    are accepted.  Membership is decided on integers: with D the least
+    common denominator of the entries, every generator's integer reducer
+    (the one division uses) is evaluated at the integer point D*v, scaled
+    by powers of D to its top degree, and the answer is False at the
+    first one that does not vanish.
+    """
+    v = [Fraction(x) for x in v]
+    n = cone.generators.context.n
+    if len(v) != n:
+        raise ValueError(f"point has {len(v)} entries, expected {n}")
+    d = lcm(*(x.denominator for x in v))
+    w = [x.numerator * (d // x.denominator) for x in v]
+    return _vanish(cone.generators._reducers, w, d)
 
 
 def naive_leading_form_set(F: Sequence[Polynomial]) -> list[Polynomial]:

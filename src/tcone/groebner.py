@@ -18,7 +18,8 @@ monomials, and a multiple of a divisor cancels a term just as the
 divisor does, so the reductions are those of division over the
 rationals, in the same order, and every remainder and basis is
 identical to the rational one, term for term.  ``normal_form`` divides
-by a Basis's reducers, a plain sequence made one first.  ``buchberger``
+by a Basis's reducers, a plain sequence made one first, and cone
+membership evaluates them at integer points (``_vanish``).  ``buchberger``
 stays on reducers from its inputs to its final remainders, the only
 elements made Fractions, and stops with a BasisLimitError past
 ``_MAX_BASIS`` elements or ``_DEADLINE_S`` seconds.
@@ -158,6 +159,35 @@ def _reducers(gens: Sequence[Polynomial], order: MonomialOrder) -> list[tuple]:
 def _terms(r: tuple) -> dict[tuple[int, ...], int]:
     """The integer terms of the reducer r, its lead first."""
     return {r[0]: r[1], **dict(r[2])}
+
+
+def _vanish(reducers, w: Sequence[int], d: int) -> bool:
+    """Whether every reducer vanishes at the rational point w / d.
+
+    w holds ints and d > 0.  A reducer of top degree deg sums
+    c * w^e * d^(deg - |e|) over its terms c*x^e in ints: that sum is
+    d^deg times the reducer at w / d, a nonzero rational multiple of its
+    polynomial there, so it is zero exactly when the polynomial is.  On
+    a homogeneous reducer every power of d is d^0.  Each power w_i^k is
+    taken once per call; the walk stops at the first nonzero sum.
+    """
+    powers = [[1, x] for x in w]  # powers[i][k] = w_i^k, grown on demand
+    for lead, lc, tail in reducers:
+        terms = ((lead, lc),) + tail
+        deg = max(sum(e) for e, _ in terms) if d != 1 else 0
+        total = 0
+        for e, c in terms:
+            for k, pw in zip(e, powers):
+                if k:
+                    while len(pw) <= k:
+                        pw.append(pw[-1] * pw[1])
+                    c *= pw[k]
+            if d != 1 and (s := deg - sum(e)):
+                c *= d ** s
+            total += c
+        if total:
+            return False
+    return True
 
 
 def _monic(ctx: VariableContext, p: dict[tuple[int, ...], int]) -> Polynomial:

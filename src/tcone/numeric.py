@@ -305,9 +305,12 @@ def roots_univariate(coeffs: Sequence[complex], tol: float = 1e-12) -> RootsResu
     """All complex roots: the one-row call of the batched Aberth solver.
 
     ``coeffs`` are ascending (coeffs[k] multiplies z**k); the polynomial
-    is made monic and handed to the solver that far sampling runs on all
-    trials of one degree at once (see ``_aberth`` for the starts and the
-    stopping rule).  A sweep that would leave a root non-finite ends the
+    is made monic.  When its k lowest coefficients are zero, z**k is a
+    factor: the first k roots are exactly 0, as in far sampling, and only
+    the quotient goes to the solver that far sampling runs on all trials
+    of one degree at once (see ``_aberth`` for the starts and the
+    stopping rule); with no quotient left the result is converged after
+    0 sweeps.  A sweep that would leave a root non-finite ends the
     iteration unconverged.  Roots are returned even without convergence;
     the residuals |p(z_i)| of the monic polynomial let the caller judge
     them.
@@ -322,11 +325,16 @@ def roots_univariate(coeffs: Sequence[complex], tol: float = 1e-12) -> RootsResu
     if abs(a[-1]) <= 1e-30 * np.abs(a).max():
         raise ValueError("degenerate leading coefficient")
     a = (a / a[-1])[None, :]
-    z, converged, sweeps = _aberth(a, tol)
+    k = int((a[0] != 0).argmax())  # a[0, n] = 1, so k <= n
+    z = np.zeros((1, n), dtype=complex)
+    converged, sweeps = True, 0
+    if k < n:
+        z[:, k:], done, count = _aberth(a[:, k:], tol)
+        converged, sweeps = done[0], count[0]
     with np.errstate(all="ignore"):
         residuals = np.abs(_horner(a, z)[0][0])
     return RootsResult(tuple(z[0].tolist()), tuple(residuals.tolist()),
-                       bool(converged[0]), int(sweeps[0]))
+                       bool(converged), int(sweeps))
 
 
 def substitute_partial(f: Polynomial, fixed: Mapping[str, complex],
@@ -547,10 +555,10 @@ def far_sample_report(f: Polynomial, radius: float = 1e6, trials: int = 100,
 
 def _fit_decay_exponent(samples: Sequence[tuple[float, float | None]]) -> float | None:
     """Least-squares slope of log(value) against log(t) over positive values."""
-    import numpy as np
     pts = [(math.log(t), math.log(v)) for t, v in samples if v is not None and v > 0]
     if len(pts) < 2:
         return None
+    import numpy as np
     return float(np.polyfit([x for x, _ in pts], [y for _, y in pts], 1)[0])
 
 

@@ -442,7 +442,11 @@ def test_exact_commands_do_not_import_numpy():
         "    found = loaded('numpy', 'tcone.numeric', 'click', 'dataclasses', 'json')\n"
         "    assert not found, (args, found)\n"
         "import tcone.numeric\n"
-        "assert not (found := loaded('numpy', 'dataclasses')), found\n")
+        "assert not (found := loaded('numpy', 'dataclasses')), found\n"
+        # A ray inside V: every ratio is 0, so there is no decay to fit.
+        f"args = ['verify', 'ratio', {FIVELINES!r}, '--direction', '0,1,1']\n"
+        "assert tcone.cli.main(args) == 0, args\n"
+        "assert not (found := loaded('numpy', 'click', 'dataclasses')), found\n")
     src = str(Path(tcone.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,

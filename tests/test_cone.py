@@ -3,8 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from tcone.cone import cone_membership, naive_leading_form_set, tangent_cone_at_infinity
-from tcone.groebner import buchberger, ideal_equal, ideal_member, reduce_basis
+from tcone.cone import (
+    ConeDescription,
+    cone_membership,
+    naive_leading_form_set,
+    tangent_cone_at_infinity,
+)
+from tcone.groebner import Basis, buchberger, ideal_equal, ideal_member, reduce_basis
 from tcone.polyring import (
     GREVLEX,
     GRLEX,
@@ -19,7 +24,7 @@ from tcone.polyring import (
     zero,
 )
 
-from conftest import homogenize, restrict_infinity
+from conftest import cyclic, homogenize, katsura, restrict_infinity
 from test_polyring import random_poly
 
 
@@ -223,8 +228,117 @@ def test_cone_membership_five_lines(five_lines):
 def test_cone_membership_arity(five_lines):
     ctx, f1, f2 = five_lines
     cone = tangent_cone_at_infinity([f1, f2], GREVLEX)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="point has 2 entries, expected 3"):
         cone_membership(cone, (0, 0))
+
+
+def fraction_membership(cone, v):
+    """The reference route: every generator evaluated in Fractions."""
+    return all(evaluate_exact(g, v) == 0 for g in cone.generators)
+
+
+def random_entry(rng):
+    """Zero, a small int, a rational, a numerator near 10**30 or a float."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-9, 9)
+    if kind == 2:
+        return Fraction(rng.randint(-99, 99), rng.randint(1, 60))
+    if kind == 3:
+        sign = rng.choice([-1, 1])
+        return Fraction(sign * (10**30 + rng.randint(0, 10**6)), rng.randint(1, 10**6))
+    return rng.uniform(-10, 10)
+
+
+def membership_points(rng, n, lines=(), count=40):
+    """The origin, nonzero multiples of the given lines of the cone, and
+    random points with about half their entries zero."""
+    points = [(0,) * n]
+    for line in lines:
+        for _ in range(4):
+            lam = 0
+            while not lam:
+                lam = random_entry(rng)
+            points.append(tuple(lam * c for c in line))
+    for _ in range(count):
+        points.append(tuple(random_entry(rng) if rng.random() < 0.5 else 0
+                            for _ in range(n)))
+    return points
+
+
+def test_cone_membership_matches_fraction_route(five_lines, xy):
+    _, f1, f2 = five_lines
+    _, x, y = xy
+    cases = [
+        ("fivelines", [f1, f2], [(0, 0, 1), (1, 0, 0), (0, 1, 0), (0, 1, 1), (0, 1, -1)]),
+        ("cusp", [x**2 - y**3], [(1, 0)]),
+        ("cyclic4", cyclic(4), [(1, 0, -1, 0), (0, 1, 0, -1)]),
+        ("katsura3", katsura(3), []),
+    ]
+    for name, F, lines in cases:
+        cone = tangent_cone_at_infinity(F, GREVLEX)
+        rng = random.Random(name)
+        answers = set()
+        for v in membership_points(rng, cone.generators.context.n, lines, count=150):
+            answer = cone_membership(cone, v)
+            assert answer == fraction_membership(cone, v), (name, v)
+            answers.add(answer)
+        assert answers == {True, False}, name
+
+
+def test_cone_membership_matches_fraction_route_on_dense_ideals():
+    ctx = VariableContext(("x", "y", "z"))
+    rng = random.Random(17)
+    answers = []
+    for _ in range(40):
+        F = [random_poly(ctx, rng, max_degree=4, max_terms=5) for _ in range(rng.randint(1, 3))]
+        if all(f.is_zero() for f in F):
+            continue
+        cone = tangent_cone_at_infinity(F, GREVLEX)
+        for v in membership_points(rng, 3, count=15):
+            answers.append(cone_membership(cone, v))
+            assert answers[-1] == fraction_membership(cone, v), (F, v)
+    assert 50 < answers.count(True) < len(answers) - 50
+
+
+def hand_built_cone(gens):
+    basis = Basis(tuple(gens), GREVLEX)
+    return ConeDescription(generators=basis, source_basis=basis)
+
+
+def test_cone_membership_non_homogeneous_generators(xy):
+    # D = 4 at (1/2, 1/4): the integer point (2, 1) alone would give
+    # 2**2 - 1 = 3; the power D**(2 - 1) on y makes it 4 - 4 = 0.
+    _, x, y = xy
+    cone = hand_built_cone([x**2 - y])
+    assert cone_membership(cone, (Fraction(1, 2), Fraction(1, 4)))
+    assert cone_membership(cone, (0.5, 0.25))
+    assert not cone_membership(cone, (Fraction(1, 2), Fraction(1, 3)))
+    assert not cone_membership(cone, (2, 1))
+
+
+def test_cone_membership_planted_rational_zeros():
+    # Generators f - f(p) of mixed degrees all vanish at p; other points
+    # and multiples of p are mostly off their common zero set.
+    ctx = VariableContext(("x", "y", "z"))
+    rng = random.Random(23)
+    answers = []
+    for _ in range(60):
+        p = tuple(random_entry(rng) for _ in range(3))
+        gens = [f - evaluate_exact(f, p) for f in
+                (random_poly(ctx, rng, max_degree=5) for _ in range(rng.randint(1, 3)))]
+        gens = [g for g in gens if not g.is_zero()]
+        if not gens:
+            continue
+        cone = hand_built_cone(gens)
+        assert cone_membership(cone, p)
+        points = [tuple(2 * Fraction(c) for c in p)] + membership_points(rng, 3, count=5)
+        for v in points:
+            answers.append(cone_membership(cone, v))
+            assert answers[-1] == fraction_membership(cone, v), (gens, v)
+    assert False in answers
 
 
 def test_cone_membership_scale_invariant(five_lines):

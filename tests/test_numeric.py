@@ -250,6 +250,26 @@ def test_roots_degree_60_converge_to_finite_roots():
     assert all(abs(abs(z) - modulus) < 1e-12 * modulus for z in result.roots)
 
 
+@pytest.mark.parametrize("zeros", [60, 400])
+def test_roots_deflate_exact_zero_roots(zeros):
+    # Undeflated, w**60 stopped unconverged after 364 sweeps with roots up
+    # to |w| = 5.6e-6, and w**400 with roots up to 0.17.
+    result = roots_univariate([0] * zeros + [1])
+    assert result.converged
+    assert result.sweeps == 0
+    assert result.roots == (0j,) * zeros
+    assert result.residuals == (0.0,) * zeros
+
+
+def test_roots_deflated_quotient_is_the_one_row_call():
+    # z**2 * (z**2 + 2): two exact zeros, then the roots of z**2 + 2 bit for bit.
+    full = roots_univariate([0, 0, 2, 0, 1])
+    quotient = roots_univariate([2, 0, 1])
+    assert full.roots == (0j, 0j) + quotient.roots
+    assert (full.converged, full.sweeps) == (quotient.converged, quotient.sweeps)
+    assert full.residuals[:2] == (0.0, 0.0)
+
+
 def test_roots_start_on_the_scale_of_the_roots():
     # Roots of modulus ~1e3: a start at the Cauchy radius 1 + max|a_k|
     # (~1e24 here) took about 280 sweeps; a start on the scale
