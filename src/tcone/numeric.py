@@ -125,6 +125,12 @@ def _require_positive(what: str, value: float) -> None:
         raise ValueError(f"the {what} must be positive and finite, not {value:g}")
 
 
+def _require_seed(seed: int) -> None:
+    """A negative seed names no generator; refused before numpy loads."""
+    if seed < 0:
+        raise ValueError(f"the seed must be a nonnegative integer, not {seed}")
+
+
 def _require_fraction(what: str, value: float) -> None:
     if not 0 < value <= 1:
         raise ValueError(f"the {what} must lie in (0, 1], not {value:g}")
@@ -501,6 +507,7 @@ def sample_far_directions(f: Polynomial, radius: float, trials: int,
     normalized and kept, in the order of trials, then roots.
     Deterministic for a fixed seed.
     """
+    _require_seed(seed)
     directions, skipped = _far_points(f, radius, trials, seed)
     return FarSamples(tuple(map(tuple, directions.tolist())), radius, trials, skipped, seed)
 
@@ -528,11 +535,12 @@ def far_sample_report(f: Polynomial, radius: float = 1e6, trials: int = 100,
 
     Passes when at least ``min_fraction`` of the retained directions
     give a top-form residual below ``residual_tol``.  ``residual_tol``
-    must be positive and finite, ``min_fraction`` lie in (0, 1], and
-    ``trials`` be at most _MAX_TRIALS.
+    must be positive and finite, ``min_fraction`` lie in (0, 1],
+    ``trials`` be at most _MAX_TRIALS and ``seed`` be nonnegative.
     """
     _require_positive("residual tolerance", residual_tol)
     _require_fraction("minimum fraction", min_fraction)
+    _require_seed(seed)
     directions, skipped = _far_points(f, radius, trials, seed)
     residuals = abs(_evaluate_rows(_compile(leading_form(f)), directions))
     if not len(residuals):
@@ -700,15 +708,17 @@ def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
 
     Damped least-squares (Levenberg-style) iterations on the real and
     imaginary parts of the generators, started from x0 and from
-    perturbations of relative radius 0.5, drawn from ``seed``.  A run
-    converges when every normalized residual |g_i(z)| / max(1,||z||)**deg(g_i)
-    drops below ``residual_tol``; the returned bound is the smallest
-    finite ||x0 - z|| over converged runs, hence an upper bound on the
-    true distance up to that residual tolerance, which must be positive
-    and finite.  ``converged`` is false when no run lands at a finite
+    perturbations of relative radius 0.5, drawn from ``seed`` (a
+    nonnegative integer).  A run converges when every normalized
+    residual |g_i(z)| / max(1,||z||)**deg(g_i) drops below
+    ``residual_tol``; the returned bound is the smallest finite
+    ||x0 - z|| over converged runs, hence an upper bound on the true
+    distance up to that residual tolerance, which must be positive and
+    finite.  ``converged`` is false when no run lands at a finite
     distance.
     """
     _require_positive("residual tolerance", residual_tol)
+    _require_seed(seed)
     import numpy as np
     gens = [g for g in F if not g.is_zero()]
     if not gens:
@@ -949,6 +959,7 @@ def distance_ratio_report(F: Sequence[Polynomial], v: Sequence[complex], sched: 
     _require_positive("residual tolerance", residual_tol)
     _require_fraction("pass decay", pass_decay)
     _require_positive("plateau tolerance", plateau_tol)
+    _require_seed(seed)
     if all(z == 0 for z in v):
         raise ValueError("direction must be nonzero")
     vv = tuple(complex(z) for z in v)

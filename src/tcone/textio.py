@@ -21,14 +21,15 @@ at most 100 deep, and a number may not pass the interpreter's
 integer-string digit limit.  Errors name a line and a 1-based column in
 the raw line.
 
-Each poly-line is computed on plain term dicts through Polynomial's own
-term arithmetic, with ints where the literals are integers, and becomes
-one Polynomial at the end.  Caps keep any line from hanging: an
-exponent above 1,000,000 (an error at the exponent), a value of total
-degree above 10,000 (at the '^' or '*' that would form it), or more than
-250,000 units of work on one line (at the operator whose step would pass
-it; see _MAX_WORK).  All rendering is deterministic so identical inputs
-produce byte-identical output.
+Each poly-line is computed with ints where the literals are integers,
+and becomes one Polynomial at the end.  A product of numbers and
+variable powers is formed as one term; every other value is a plain
+term dict, computed through Polynomial's own term arithmetic.  Caps
+keep any line from hanging: an exponent above 1,000,000 (an error at
+the exponent), a value of total degree above 10,000 (at the '^' or '*'
+that would form it), or more than 250,000 units of work on one line (at
+the operator whose step would pass it; see _MAX_WORK).  All rendering
+is deterministic so identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ _MAX_NESTING = 100
 # the coefficient products, counted as schoolbook products of 2**21 bit
 # pairs a unit.  A power is charged for each of its binary-powering
 # products, a sum one unit per term added and a negation one per term.
+# A product of plain factors, formed as one term, pays the same.
 # A line over the work cap has run at most _MAX_WORK units, well under a
 # second.
 _MAX_EXPONENT = 1_000_000
@@ -93,7 +95,7 @@ _MAX_DEGREE = 10_000
 _MAX_WORK = 250_000
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
-                       r"|(?P<op>[-+*/^()]))")
+                       r"|(?P<op>[-+*/^()])|(?P<bad>\S))")
 
 _Token = tuple[str, str, int]  # (kind, value, column)
 
@@ -102,45 +104,49 @@ def _tokens(raw: str, start: int, lineno: int, source: str) -> list[_Token]:
     """The tokens of raw[start:], with 1-based columns in the raw line.
 
     The kind is 'nat', 'ident' or, for an operator, the operator itself.
-    A last ('end', '', column) token stands just past the line's last
-    nonblank character.
+    One scan reads the line up to its last nonblank character, so every
+    match starts where the last one ended; the first character that
+    starts no token is an error at its column.  A last ('end', '',
+    column) token stands just past the line's last nonblank character.
     """
+    stop = len(raw.rstrip())  # re's \s and str.isspace agree
     out = []
-    pos = start
-    while m := _TOKEN_RE.match(raw, pos):
+    for m in _TOKEN_RE.finditer(raw, start, stop):
         kind = m.lastgroup
-        value = m.group(kind)
+        value = m[kind]
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", lineno, m.start(kind) + 1,
+                             source)
         out.append((value if kind == "op" else kind, value, m.start(kind) + 1))
-        pos = m.end()
-    rest = raw[pos:].lstrip()
-    if rest:
-        raise ParseError(f"unexpected character {rest[0]!r}",
-                         lineno, len(raw) - len(rest) + 1, source)
-    out.append(("end", "", len(raw.rstrip()) + 1))
+    out.append(("end", "", stop + 1))
     return out
 
 
-def _bits(p: dict) -> int:
-    """The summed bit lengths of p's numerators and denominators."""
-    bits = 0
-    for c in p.values():
-        bits += c.numerator.bit_length() + c.denominator.bit_length()
-    return bits
+def _bits(c: int | Fraction) -> int:
+    """The bit lengths of c's numerator and denominator, summed."""
+    return c.numerator.bit_length() + c.denominator.bit_length()
 
 
 def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
                 source: str) -> Polynomial:
     """The polynomial of one poly-line's tokens, by recursive descent.
 
-    Values are term dicts, computed with Polynomial's own term arithmetic:
-    an integer literal stays an int and only ``a/b`` is a Fraction, so the
-    one Polynomial built at the end equals, term for term and in dict
-    order, what Polynomial arithmetic on the same text gives.  No value is
-    held twice, so a sum is taken in place.  Each product, power step,
-    sum and negation is charged before it runs (see _MAX_WORK).
+    A product of plain factors (a number, ``n/d``, a variable or a power
+    of a variable) is formed as one (coefficient, exponent tuple) pair
+    and added straight into its sum.  Every other value is a term dict,
+    computed with Polynomial's own term arithmetic: a parenthesised factor
+    or a power of a number is read on that route, and so is the rest of
+    the term it stands in.  An integer literal stays an int and only
+    ``a/b`` is a Fraction, so the one Polynomial built at the end equals,
+    term for term and in dict order, what Polynomial arithmetic on the
+    same text gives.  No value is held twice, so a sum is taken in place.
+    Each product, power step, sum and negation is charged before it runs
+    (see _MAX_WORK), at the same token and by the same units on both
+    routes.
     """
     ahead = toks[::-1]  # a stack: ahead[-1] is the next token, 'end' the last
     one = (0,) * context.n  # the exponent tuple of a constant
+    index = {name: i for i, name in enumerate(context.names)}
     pair = -(-context.n // 8)  # the units of work of one pair of terms
     spent = 0  # the work charged on this line so far
 
@@ -153,6 +159,37 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
         except ValueError:  # beyond the interpreter's int-string digit limit
             fail(f"number longer than {sys.get_int_max_str_digits()} digits", tok)
 
+    def rational(tok: _Token) -> int | Fraction:
+        """The number that starts at tok, a nat already taken from ahead."""
+        c = number(tok)
+        if ahead[-1][0] == "/":
+            ahead.pop()
+            den = ahead.pop()
+            if den[0] != "nat":
+                fail("'/' requires a natural-number denominator", den)
+            d = number(den)
+            if d == 0:
+                fail("zero denominator", den)
+            c = Fraction(c, d)
+        return c
+
+    def exponent() -> int:
+        """The natural number after a '^' already taken from ahead."""
+        tok = ahead.pop()
+        if tok[0] != "nat":
+            fail("'^' requires a natural-number exponent", tok)
+        k = number(tok)
+        if k > _MAX_EXPONENT:
+            fail(f"exponent above the cap of {_MAX_EXPONENT}", tok)
+        return k
+
+    def variable(tok: _Token) -> int:
+        """The index of the variable tok names."""
+        i = index.get(tok[1])
+        if i is None:
+            fail(f"unknown identifier \"{tok[1]}\"", tok)
+        return i
+
     def check_degree(degree: int, tok: _Token):
         if degree > _MAX_DEGREE:
             fail(f"degree {degree} above the cap of {_MAX_DEGREE}", tok)
@@ -164,41 +201,93 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
             fail(f"more than {_MAX_WORK} units of work on one line", tok)
 
     def product(p: dict, q: dict, tok: _Token) -> dict:
-        charge(len(p) * len(q) * pair + (_bits(p) * _bits(q) >> 21), tok)
+        bits = sum(map(_bits, p.values())) * sum(map(_bits, q.values()))
+        charge(len(p) * len(q) * pair + (bits >> 21), tok)
         return _mul_terms(p, q)
+
+    def times(p: dict, q: dict, star: _Token) -> dict:
+        check_degree(max(map(sum, p), default=0) + max(map(sum, q), default=0), star)
+        return product(p, q, star)
 
     def expr(depth: int) -> dict:
         minus = ahead.pop() if ahead[-1][0] == "-" else None
         p = term(depth)
+        if type(p) is tuple:
+            c, m = p
+            p = {m: c} if c else {}
         if minus:
             charge(len(p), minus)
             p = _neg_terms(p)
         while ahead[-1][0] in ("+", "-"):
             op = ahead.pop()
             rhs = term(depth)
-            charge(len(rhs), op)
-            p = _add_into(p, rhs if op[0] == "+" else _neg_terms(rhs))
+            if type(rhs) is dict:
+                charge(len(rhs), op)
+                _add_into(p, rhs if op[0] == "+" else _neg_terms(rhs))
+                continue
+            c, m = rhs  # one term, added as _add_into adds it
+            if c:
+                charge(1, op)
+                s = p.get(m, 0) + (c if op[0] == "+" else -c)
+                if s:
+                    p[m] = s
+                else:
+                    p.pop(m, None)
         return p
 
-    def term(depth: int) -> dict:
-        p = factor(depth)
+    def term(depth: int) -> tuple | dict:
+        """A product of factors: a (coefficient, exponent tuple) pair while
+        every factor is plain, else a term dict.  A zero coefficient stands
+        for the empty dict, of degree 0."""
+        c, e, degree = 1, list(one), 0  # the product of the factors so far
+        star = None  # the '*' before the factor being read
+        while True:
+            tok = ahead[-1]
+            if tok[0] == "ident":
+                i = variable(ahead.pop())
+                q, k = 1, 1
+                if ahead[-1][0] == "^":
+                    caret = ahead.pop()
+                    k = exponent()
+                    if k > 1:  # binary powering: a product per set bit and per squaring
+                        check_degree(k, caret)
+                        charge((k.bit_count() + k.bit_length() - 1) * pair, caret)
+            elif tok[0] == "nat":
+                ahead.pop()
+                q, k = rational(tok), 0
+                if ahead[-1][0] == "^":
+                    return finish(c, e, star, power({one: q} if q else {}), depth)
+            else:
+                return finish(c, e, star, factor(depth), depth)
+            if star:
+                check_degree((degree if c else 0) + k, star)
+                if c and q:
+                    charge(pair + (_bits(c) * _bits(q) >> 21), star)
+            c *= q
+            if k:
+                e[i] += k
+                degree += k
+            if ahead[-1][0] != "*":
+                return c, tuple(e)
+            star = ahead.pop()
+
+    def finish(c: int | Fraction, e: list[int], star: _Token | None, q: dict,
+               depth: int) -> dict:
+        """The rest of a term on the dict route, from the product c*x^e of
+        its plain factors before star and the factor q after it."""
+        p = q if star is None else times({tuple(e): c} if c else {}, q, star)
         while ahead[-1][0] == "*":
             star = ahead.pop()
-            q = factor(depth)
-            check_degree(max(map(sum, p), default=0) + max(map(sum, q), default=0), star)
-            p = product(p, q, star)
+            p = times(p, factor(depth), star)
         return p
 
     def factor(depth: int) -> dict:
-        p = base(depth)
+        return power(base(depth))
+
+    def power(p: dict) -> dict:
         if ahead[-1][0] == "^":
             caret = ahead.pop()
-            exponent = ahead.pop()
-            if exponent[0] != "nat":
-                fail("'^' requires a natural-number exponent", exponent)
-            k = number(exponent)
-            if k > _MAX_EXPONENT:
-                fail(f"exponent above the cap of {_MAX_EXPONENT}", exponent)
+            k = exponent()
             if k != 1:  # p^1 is p, term for term and in order
                 check_degree(k * max(map(sum, p), default=0), caret)
                 p = _pow_terms(p, k, {one: 1}, lambda a, b: product(a, b, caret))
@@ -208,21 +297,10 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
         tok = ahead.pop()
         kind, value, _ = tok
         if kind == "nat":
-            c = number(tok)
-            if ahead[-1][0] == "/":
-                ahead.pop()
-                den = ahead.pop()
-                if den[0] != "nat":
-                    fail("'/' requires a natural-number denominator", den)
-                d = number(den)
-                if d == 0:
-                    fail("zero denominator", den)
-                c = Fraction(c, d)
+            c = rational(tok)
             return {one: c} if c else {}
         if kind == "ident":
-            if value not in context.names:
-                fail(f"unknown identifier \"{value}\"", tok)
-            i = context.names.index(value)
+            i = variable(tok)
             return {one[:i] + (1,) + one[i + 1:]: 1}
         if kind == "(":
             if depth == _MAX_NESTING:

@@ -386,6 +386,9 @@ USAGE_ERRORS = {
     "steps-above-cap": ["verify", "distance", CUSP, "--direction", "0,1",
                         "--factor", "1.01", "--steps", "101"],
     "trials-above-cap": ["verify", "sample", CUSP, "--trials", "100001"],
+    "negative-seed-sample": ["verify", "sample", CUSP, "--seed", "-1"],
+    "negative-seed-distance": ["verify", "distance", CUSP, "--direction", "1,0",
+                               "--seed", "-1"],
 }
 
 
@@ -396,6 +399,12 @@ def test_usage_error_is_one_line(capsys, args):
     assert out == ""
     assert len(err.splitlines()) == 1, err
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["negative-seed-sample", "negative-seed-distance"])
+def test_negative_seed_error_names_the_seed(capsys, name):
+    _, _, err = run(capsys, USAGE_ERRORS[name])
+    assert err == "error: the seed must be a nonnegative integer, not -1\n"
 
 
 @pytest.mark.parametrize("args,expected", [
@@ -446,7 +455,12 @@ def test_exact_commands_do_not_import_numpy():
         # A ray inside V: every ratio is 0, so there is no decay to fit.
         f"args = ['verify', 'ratio', {FIVELINES!r}, '--direction', '0,1,1']\n"
         "assert tcone.cli.main(args) == 0, args\n"
-        "assert not (found := loaded('numpy', 'click', 'dataclasses')), found\n")
+        "assert not (found := loaded('numpy', 'click', 'dataclasses')), found\n"
+        # A negative seed is refused before numpy loads.
+        f"for args in (['verify', 'sample', {CUSP!r}, '--seed', '-1'],\n"
+        f"             ['verify', 'distance', {CUSP!r}, '--direction', '1,0', '--seed', '-1']):\n"
+        "    assert tcone.cli.main(args) == 1, args\n"
+        "    assert not (found := loaded('numpy')), (args, found)\n")
     src = str(Path(tcone.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,

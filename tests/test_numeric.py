@@ -754,6 +754,23 @@ def test_reports_reject_tolerances_not_positive_finite(five_lines, xy, bad):
         far_sample_report(y**2 - x**3, residual_tol=bad)
 
 
+def test_reports_reject_a_negative_seed(five_lines, xy):
+    # Refused at each entry point with one message, also where V is empty
+    # and no estimate would run.
+    ctx, f1, f2 = five_lines
+    _, x, y = xy
+    calls = [lambda: distance_ratio_report([f1, f2], (0, 0, 1), TSchedule(), seed=-1),
+             lambda: distance_ratio_report([f1 - f1 + 1], (0, 0, 1), TSchedule(), seed=-1),
+             lambda: estimate_distance_upper([f1, f2], (0, 0, 1), seed=-1),
+             lambda: far_sample_report(y**2 - x**3, seed=-1),
+             lambda: sample_far_directions(y**2 - x**3, 1e6, 10, -1)]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "the seed must be a nonnegative integer, not -1"
+    assert far_sample_report(y**2 - x**3, trials=10, seed=0).verdict == "pass"
+
+
 # -- distance estimation ----------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
+import importlib
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -27,6 +29,7 @@ from tcone.textio import (
 from test_polyring import random_poly
 
 DATA = Path(__file__).parent / "data"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 FIVE_LINES_TEXT = """\
 # the five-lines example
@@ -160,14 +163,73 @@ def test_parse_zero_line_allowed_among_nonzero(xy):
     assert ideal.polynomials[1] == y
 
 
+# -- the tokenizer against an anchored match at each position ------------------
+
+_REFERENCE_TOKEN_RE = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+                                 r"|(?P<op>[-+*/^()]))")
+
+
+def reference_tokens(raw, start, lineno, source):
+    """_tokens by one anchored match per token, stopping at the first
+    position where no token starts: the reference for its single scan."""
+    out = []
+    pos = start
+    while m := _REFERENCE_TOKEN_RE.match(raw, pos):
+        kind = m.lastgroup
+        value = m.group(kind)
+        out.append((value if kind == "op" else kind, value, m.start(kind) + 1))
+        pos = m.end()
+    rest = raw[pos:].lstrip()
+    if rest:
+        raise ParseError(f"unexpected character {rest[0]!r}",
+                         lineno, len(raw) - len(rest) + 1, source)
+    out.append(("end", "", len(raw.rstrip()) + 1))
+    return out
+
+
+def tokens_or_error(tokenize, line, start):
+    try:
+        return tokenize(line, start, 2, "<t>")
+    except ParseError as exc:
+        return str(exc)
+
+
+# Pieces of tokens, junk characters (a Unicode digit among them), Unicode
+# blanks, and blanks that may end a line.
+TOKEN_PIECES = ["x", "y1", "_", "q_2", "12", "0", "\u0663", "+", "-", "*", "/", "^", "(", ")",
+                "#", ".", "\u00e9", "\x00", "\u00b2"]
+BLANKS = [" ", "\t", "\u00a0", "\x1f", "\u3000", "\x0b"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.sampled_from(TOKEN_PIECES + BLANKS), max_size=16),
+       st.lists(st.sampled_from(BLANKS), max_size=3), st.integers(0, 4))
+def test_tokens_match_the_anchored_reference(pieces, tail, start):
+    line = "".join(pieces + tail)
+    assert tokens_or_error(_tokens, line, start) == tokens_or_error(reference_tokens, line, start)
+
+
+def test_tokens_scan_long_blank_runs_once():
+    # Blanks between tokens and at the end of a line cost one pass each.
+    # A scan for a token in the trailing blanks would start at each blank
+    # and read to the end: seconds for these 10,000.
+    line = "x" + " " * 200_000 + "+ y" + " \u3000" * 5_000
+    start = time.perf_counter()
+    assert [tok[0] for tok in _tokens(line, 0, 1, "<t>")] == ["ident", "+", "ident", "end"]
+    with pytest.raises(ParseError, match="unexpected character '#'"):
+        _tokens(line + "#" + " " * 10_000, 0, 1, "<t>")
+    assert time.perf_counter() - start < 1.0
+
+
 # -- parse_ideal against Polynomial arithmetic ---------------------------------
 
 
 def polynomial_of(line, context):
     """The poly-line's expression evaluated with Polynomial arithmetic: every
     literal, variable and partial result a Polynomial, as the parser once
-    computed it.  The reference for the parser's term-dict route."""
-    ahead = _tokens(line, 0, 1, "<reference>")[::-1]
+    computed it, from the reference tokens.  The reference for both of the
+    parser's routes, pairs and term dicts."""
+    ahead = reference_tokens(line, 0, 1, "<reference>")[::-1]
 
     def expr():
         negate = ahead[-1][0] == "-"
@@ -256,6 +318,34 @@ def test_parse_equals_polynomial_arithmetic_on_drawn_lines(line):
     assert_parses_as_polynomial_arithmetic(f"vars x y z\npoly {line}\npoly 1\n")
 
 
+@st.composite
+def flat_lines(draw):
+    """A long sum of plain products in x, y, z: each a few variables and
+    variable powers (^0 among them) with a number, a/b or zero literal in
+    any place.  The monomials come from a small pool, so they repeat, and
+    equal terms may cancel."""
+    factor = st.sampled_from(["x", "y", "z", "x^0", "y^1", "z^2", "x^3", "y^7", "z^12"])
+    pool = draw(st.lists(st.lists(factor, max_size=4), min_size=1, max_size=4))
+    literal = st.sampled_from(["1", "2", "3", "12", "0", "0/7", "1/2", "3/4", "6/3", "10/4"])
+
+    def product():
+        factors = list(draw(st.sampled_from(pool)))
+        for _ in range(draw(st.integers(0 if factors else 1, 2))):
+            factors.insert(draw(st.integers(0, len(factors))), draw(literal))
+        return "*".join(factors)
+
+    text = draw(st.sampled_from(["", "-"])) + product()
+    for _ in range(draw(st.integers(0, 30))):
+        text += draw(st.sampled_from([" + ", " - ", "+", "-"])) + product()
+    return text
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(flat_lines())
+def test_parse_equals_polynomial_arithmetic_on_flat_lines(line):
+    assert_parses_as_polynomial_arithmetic(f"vars x y z\npoly {line}\npoly 1\n")
+
+
 def test_parse_equals_polynomial_arithmetic_on_files():
     for path in sorted(DATA.glob("*.ideal")):
         text = path.read_text()
@@ -270,6 +360,33 @@ def test_parse_equals_polynomial_arithmetic_on_files():
         "poly -(2*y*x + 7*x)^3 - (x^3*y - 3/4^0 - z^2*x^2)^2\n")
 
 
+@pytest.mark.parametrize("workload", ["gb-corpus", "member-stream", "verify-numeric"])
+def test_parse_equals_polynomial_arithmetic_on_benchmark_inputs(monkeypatch, tmp_path,
+                                                                 workload):
+    # The texts each workload's set-up parses, at seeds 1 to 3, recorded by
+    # wrapping parse_ideal as the set-up runs.
+    import tcone
+    import tcone.numeric  # noqa: F401  (the workloads reach it as tcone.numeric)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    parse = textio.parse_ideal
+    texts = []
+
+    def recorded(text, source="<input>"):
+        texts.append(text)
+        return parse(text, source)
+
+    monkeypatch.setattr(textio, "parse_ideal", recorded)
+    for seed in (1, 2, 3):
+        env = workloads.Env(src=str(PERFBENCH.parent / "src"), workdir=str(tmp_path),
+                            traced=False)
+        workloads.WORKLOADS[workload](tcone, random.Random(f"{workload}:{seed}"), env).setup()
+    monkeypatch.setattr(textio, "parse_ideal", parse)
+    assert texts
+    for text in texts:
+        assert_parses_as_polynomial_arithmetic(text)
+
+
 # -- parse caps -----------------------------------------------------------------
 
 
@@ -278,6 +395,7 @@ def test_parse_equals_polynomial_arithmetic_on_files():
     ("2^1000001", "2:8: exponent above the cap of 1000000"),
     ("(x + y + 1)^100000", "2:17: degree 100000 above the cap of 10000"),
     ("x^5000*y^5001", "2:12: degree 10001 above the cap of 10000"),
+    ("x^5000*y^5001*0", "2:12: degree 10001 above the cap of 10000"),
     ("(x + y + 1)^200", "2:17: more than 250000 units of work on one line"),
     ("(x + y + z + 1)^400", "2:21: more than 250000 units of work on one line"),
     ("(7^10000)^10000", "2:15: more than 250000 units of work on one line"),
@@ -349,6 +467,35 @@ def test_parse_work_cap_charges_what_each_step_copies(monkeypatch):
         start = time.perf_counter()
         assert parse_ideal(f"vars x y\npoly {line}\n").polynomials == expected
         assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("line", ["0*x^5000*y^5001*z^5000", "x^5000*0*y^5001"])
+def test_parse_zero_product_has_degree_zero(line):
+    # A product is checked as it is formed, and a zero value has degree 0.
+    assert parse_ideal(f"vars x y z\npoly {line}\npoly 1\n").polynomials[0].is_zero()
+
+
+LONG_FRACTION = "7" * 500 + "/" + "3" * 400
+
+
+@pytest.mark.parametrize("line,units", [
+    ("x*y*z", 2),
+    ("3*x^5*y^2 - 2/3*x*y + 7", 12),
+    ("-x^7*y^3*z - 2*x*y - 5", 15),
+    ("x^0*y + 3/4^2*x - 2^3*y*z", 11),
+    ("0*x^5000*y^5001 + x", 36),
+    ("x*y - y*x + z", 4),
+    ("2^15000*x*y*z", 64),
+    # 7...7/3...3 has 1,332 + 999 bits, its square 2,664 + 1,998.
+    pytest.param(f"{LONG_FRACTION}*{LONG_FRACTION}*x", 4, id="long fractions"),
+    pytest.param(f"x*{LONG_FRACTION}*y*{LONG_FRACTION}", 5, id="long fractions apart"),
+])
+def test_parse_work_cap_on_plain_products(monkeypatch, line, units):
+    # A product of plain factors pays what its term dicts would: a pair
+    # per '*' between nonzero values, each product of binary powering a
+    # variable, one unit per term added or negated, and the numerator and
+    # denominator bits of long coefficients.
+    assert work_of(f"vars x y z\npoly {line}\n", monkeypatch) == units
 
 
 # -- parse_point --------------------------------------------------------------
