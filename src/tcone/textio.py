@@ -132,17 +132,18 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
     """The polynomial of one poly-line's tokens, by recursive descent.
 
     A product of plain factors (a number, ``n/d``, a variable or a power
-    of a variable) is formed as one (coefficient, exponent tuple) pair
-    and added straight into its sum.  Every other value is a term dict,
-    computed with Polynomial's own term arithmetic: a parenthesised factor
-    or a power of a number is read on that route, and so is the rest of
-    the term it stands in.  An integer literal stays an int and only
-    ``a/b`` is a Fraction, so the one Polynomial built at the end equals,
-    term for term and in dict order, what Polynomial arithmetic on the
-    same text gives.  No value is held twice, so a sum is taken in place.
-    Each product, power step, sum and negation is charged before it runs
-    (see _MAX_WORK), at the same token and by the same units on both
-    routes.
+    of a variable) is formed as one term, from a coefficient and an
+    exponent list.  Every other value is a term dict, computed with
+    Polynomial's own term arithmetic: a parenthesised factor or a power
+    of a number is read on that route, and so is the rest of the term it
+    stands in.  An integer literal stays an int and only ``a/b`` is a
+    Fraction, so the one Polynomial built at the end equals, term for
+    term and in dict order, what Polynomial arithmetic on the same text
+    gives.  No value is held twice, so a sum is taken in place.  Each
+    product, power step, sum and negation is charged before it runs (see
+    _MAX_WORK), at the same token on both routes: cost prices every
+    product, and a variable's power runs the dict route's binary powering
+    on its exponent.
     """
     ahead = toks[::-1]  # a stack: ahead[-1] is the next token, 'end' the last
     one = (0,) * context.n  # the exponent tuple of a constant
@@ -200,10 +201,22 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
         if spent > _MAX_WORK:
             fail(f"more than {_MAX_WORK} units of work on one line", tok)
 
+    def cost(terms_a: int, bits_a: int, terms_b: int, bits_b: int) -> int:
+        """The units of work of multiplying a value of terms_a terms and
+        bits_a coefficient bits by one of terms_b terms and bits_b bits."""
+        return terms_a * terms_b * pair + (bits_a * bits_b >> 21)
+
+    unit = cost(1, _bits(1), 1, _bits(1))  # x^a * x^b: one pair, coefficients 1
+
     def product(p: dict, q: dict, tok: _Token) -> dict:
-        bits = sum(map(_bits, p.values())) * sum(map(_bits, q.values()))
-        charge(len(p) * len(q) * pair + (bits >> 21), tok)
+        charge(cost(len(p), sum(map(_bits, p.values())),
+                    len(q), sum(map(_bits, q.values()))), tok)
         return _mul_terms(p, q)
+
+    def power_step(a: int, b: int, caret: _Token) -> int:
+        """The exponent of x^a * x^b, charged as product charges it."""
+        charge(unit, caret)
+        return a + b
 
     def times(p: dict, q: dict, star: _Token) -> dict:
         check_degree(max(map(sum, p), default=0) + max(map(sum, q), default=0), star)
@@ -212,33 +225,21 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
     def expr(depth: int) -> dict:
         minus = ahead.pop() if ahead[-1][0] == "-" else None
         p = term(depth)
-        if type(p) is tuple:
-            c, m = p
-            p = {m: c} if c else {}
         if minus:
             charge(len(p), minus)
             p = _neg_terms(p)
         while ahead[-1][0] in ("+", "-"):
             op = ahead.pop()
             rhs = term(depth)
-            if type(rhs) is dict:
-                charge(len(rhs), op)
-                _add_into(p, rhs if op[0] == "+" else _neg_terms(rhs))
-                continue
-            c, m = rhs  # one term, added as _add_into adds it
-            if c:
-                charge(1, op)
-                s = p.get(m, 0) + (c if op[0] == "+" else -c)
-                if s:
-                    p[m] = s
-                else:
-                    p.pop(m, None)
+            charge(len(rhs), op)
+            p = _add_into(p, rhs if op[0] == "+" else _neg_terms(rhs))
         return p
 
-    def term(depth: int) -> tuple | dict:
-        """A product of factors: a (coefficient, exponent tuple) pair while
-        every factor is plain, else a term dict.  A zero coefficient stands
-        for the empty dict, of degree 0."""
+    def term(depth: int) -> dict:
+        """A product of factors.  While every factor is plain, the product
+        is held as a coefficient c and an exponent list e, with c = 0 for
+        the empty dict, of degree 0; the first other factor moves the rest
+        of the term to the dict route."""
         c, e, degree = 1, list(one), 0  # the product of the factors so far
         star = None  # the '*' before the factor being read
         while True:
@@ -249,9 +250,10 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
                 if ahead[-1][0] == "^":
                     caret = ahead.pop()
                     k = exponent()
-                    if k > 1:  # binary powering: a product per set bit and per squaring
+                    if k != 1:  # x^1 is x, as on the dict route
                         check_degree(k, caret)
-                        charge((k.bit_count() + k.bit_length() - 1) * pair, caret)
+                        # the dict route's binary powering, run on the exponent
+                        k = _pow_terms(1, k, 0, lambda a, b: power_step(a, b, caret))
             elif tok[0] == "nat":
                 ahead.pop()
                 q, k = rational(tok), 0
@@ -262,13 +264,13 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
             if star:
                 check_degree((degree if c else 0) + k, star)
                 if c and q:
-                    charge(pair + (_bits(c) * _bits(q) >> 21), star)
+                    charge(cost(1, _bits(c), 1, _bits(q)), star)
             c *= q
             if k:
                 e[i] += k
                 degree += k
             if ahead[-1][0] != "*":
-                return c, tuple(e)
+                return {tuple(e): c} if c else {}
             star = ahead.pop()
 
     def finish(c: int | Fraction, e: list[int], star: _Token | None, q: dict,

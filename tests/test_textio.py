@@ -228,7 +228,7 @@ def polynomial_of(line, context):
     """The poly-line's expression evaluated with Polynomial arithmetic: every
     literal, variable and partial result a Polynomial, as the parser once
     computed it, from the reference tokens.  The reference for both of the
-    parser's routes, pairs and term dicts."""
+    parser's routes."""
     ahead = reference_tokens(line, 0, 1, "<reference>")[::-1]
 
     def expr():
@@ -486,6 +486,7 @@ LONG_FRACTION = "7" * 500 + "/" + "3" * 400
     ("0*x^5000*y^5001 + x", 36),
     ("x*y - y*x + z", 4),
     ("2^15000*x*y*z", 64),
+    ("x^1*y^1 - z^1", 2),
     # 7...7/3...3 has 1,332 + 999 bits, its square 2,664 + 1,998.
     pytest.param(f"{LONG_FRACTION}*{LONG_FRACTION}*x", 4, id="long fractions"),
     pytest.param(f"x*{LONG_FRACTION}*y*{LONG_FRACTION}", 5, id="long fractions apart"),
