@@ -307,40 +307,49 @@ def _aberth(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return z, converged, sweeps
 
 
+def _deflated(a: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_aberth`` on monic rows of ``a`` whose k lowest coefficients are 0.
+
+    Their first k roots are exactly 0, and only the quotient, columns k
+    on, is solved; with nothing left every row converged in 0 sweeps.
+    Far out the lower terms of a high power underflow to 0, and on w**k
+    p and p' underflow together: undeflated, the iteration would stop
+    unconverged at |w| well above 0.
+    """
+    import numpy as np
+    rows, n = a.shape[0], a.shape[1] - 1
+    z = np.zeros((rows, n), dtype=complex)
+    if k == n:
+        return z, np.ones(rows, dtype=bool), np.zeros(rows, dtype=int)
+    z[:, k:], converged, sweeps = _aberth(a[:, k:], tol)
+    return z, converged, sweeps
+
+
 def roots_univariate(coeffs: Sequence[complex], tol: float = 1e-12) -> RootsResult:
     """All complex roots: the one-row call of the batched Aberth solver.
 
     ``coeffs`` are ascending (coeffs[k] multiplies z**k); the polynomial
-    is made monic.  When its k lowest coefficients are zero, z**k is a
-    factor: the first k roots are exactly 0, as in far sampling, and only
-    the quotient goes to the solver that far sampling runs on all trials
-    of one degree at once (see ``_aberth`` for the starts and the
-    stopping rule); with no quotient left the result is converged after
-    0 sweeps.  A sweep that would leave a root non-finite ends the
+    is made monic and, as in far sampling, its exact zero roots are
+    deflated by ``_deflated`` (see ``_aberth`` for the starts and the
+    stopping rule).  A sweep that would leave a root non-finite ends the
     iteration unconverged.  Roots are returned even without convergence;
     the residuals |p(z_i)| of the monic polynomial let the caller judge
     them.
     """
     import numpy as np
     a = np.array([complex(c) for c in coeffs])
-    n = len(a) - 1
-    if n < 1:
+    if len(a) < 2:
         raise ValueError("degree must be at least 1")
     if not np.isfinite(a).all():
         raise ValueError("coefficients must be finite")
     if abs(a[-1]) <= 1e-30 * np.abs(a).max():
         raise ValueError("degenerate leading coefficient")
     a = (a / a[-1])[None, :]
-    k = int((a[0] != 0).argmax())  # a[0, n] = 1, so k <= n
-    z = np.zeros((1, n), dtype=complex)
-    converged, sweeps = True, 0
-    if k < n:
-        z[:, k:], done, count = _aberth(a[:, k:], tol)
-        converged, sweeps = done[0], count[0]
+    z, converged, sweeps = _deflated(a, int((a[0] != 0).argmax()), tol)  # a[0, -1] = 1
     with np.errstate(all="ignore"):
         residuals = np.abs(_horner(a, z)[0][0])
     return RootsResult(tuple(z[0].tolist()), tuple(residuals.tolist()),
-                       bool(converged), int(sweeps))
+                       bool(converged[0]), int(sweeps[0]))
 
 
 def substitute_partial(f: Polynomial, fixed: Mapping[str, complex],
@@ -383,7 +392,7 @@ def _norm(point: Sequence[complex]) -> float:
 # The seeded tables below depend only on their arguments, so each is drawn
 # once per process and kept, read-only, in a cache of _CACHED_TABLES
 # entries.  Only tables of at most _CACHED_ENTRIES entries are kept, so the
-# two caches hold at most 8 * (96 + 64) KiB = 1.25 MiB; larger ones are
+# two caches hold at most 8 * (32 + 64) KiB = 768 KiB; larger ones are
 # drawn afresh on each call.
 _CACHED_TABLES = 8
 _CACHED_ENTRIES = 4096
@@ -395,33 +404,34 @@ def _table(build: Callable, *key, entries: int):
 
 
 @functools.lru_cache(maxsize=_CACHED_TABLES)
-def _angle_table(seed: int, trials: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The angles theta (trials x n) of far sampling and the unit phases exp(i*theta).
+def _angle_table(seed: int, trials: int, n: int) -> np.ndarray:
+    """The angles theta (trials x n) of far sampling, read-only.
 
     Trial t draws its n - 1 angles from default_rng([seed, t]), uniform
     on [0, 2*pi), for every coordinate but the free one, t mod n, whose
-    angle is 0.  Both arrays are read-only.
+    angle is 0.
     """
     import numpy as np
-    theta = np.zeros((max(trials, 0), n))
+    theta = np.zeros((trials, n))
     for trial in range(trials):
         angles = np.random.default_rng([seed, trial]).uniform(0.0, 2.0 * math.pi, n - 1)
         j = trial % n
         theta[trial, :j], theta[trial, j + 1:] = angles[:j], angles[j:]
-    units = np.exp(1j * theta)
-    theta.flags.writeable = units.flags.writeable = False
-    return theta, units
+    theta.flags.writeable = False
+    return theta
 
 
 def _far_points(f: Polynomial, radius: float, trials: int,
                 seed: int) -> tuple[np.ndarray, int]:
     """The retained far directions as rows of an array, and the skipped trials.
 
-    See ``sample_far_directions``; the array keeps the order of trials,
-    then roots.  The angle table depends only on (seed, trials, n), so
-    it comes from ``_angle_table``'s cache, read-only: at most 8 tables
-    of at most 4,096 angles, 96 KiB each.
+    See ``sample_far_directions``.  Every input is checked here, the seed
+    before numpy loads.  The roots go into one table, trials by roots,
+    NaN past each trial's degree, which reads the kept points in the
+    order of trials, then roots.  The angles come from ``_angle_table``'s
+    cache (at most 8 tables of at most 4,096 angles, 32 KiB each).
     """
+    _require_seed(seed)
     import numpy as np
     n = f.context.n
     if n < 2:
@@ -430,8 +440,9 @@ def _far_points(f: Polynomial, radius: float, trials: int,
         raise ValueError("sampling needs a nonconstant polynomial")
     if not 1 <= radius < math.inf:
         raise ValueError("the radius must be at least 1 and finite")
-    if trials > _MAX_TRIALS:
-        raise ValueError(f"far sampling runs at most {_MAX_TRIALS:,} trials, not {trials:,}")
+    if not 1 <= trials <= _MAX_TRIALS:
+        raise ValueError(f"far sampling needs at least 1 and at most {_MAX_TRIALS:,} trials, "
+                         f"not {trials:,}")
     # f compiled once in scaled form: term t contributes
     # scaled[t] * exp(i * sum_k e_tk * theta_k) * w**e_tj
     d = total_degree(f)
@@ -445,12 +456,12 @@ def _far_points(f: Polynomial, radius: float, trials: int,
     if not np.isfinite(scaled).all():
         raise ValueError(f"coefficients scaled to radius {radius:g} leave double precision")
 
-    theta, units = _table(_angle_table, seed, trials, n, entries=trials * n)
-    rows = np.arange(len(theta))
+    theta = _table(_angle_table, seed, trials, n, entries=trials * n)
+    rows = np.arange(trials)
     free = rows % n
     phase = sum(theta[:, k, None] * exps[:, k] for k in range(n))  # in a fixed order
     terms = scaled * np.exp(1j * phase)  # (trials, terms)
-    coeffs = np.zeros((len(rows), d + 1), dtype=complex)
+    coeffs = np.zeros((trials, d + 1), dtype=complex)
     # add.at goes through the indices in order, so each slot sums its terms
     # in term order, from 0.
     np.add.at(coeffs, (rows[:, None], exps[:, free].T), terms)
@@ -461,32 +472,20 @@ def _far_points(f: Polynomial, radius: float, trials: int,
     size = np.abs(coeffs)
     above = size[:, :0:-1] > 1e-30 * size.max(axis=1)[:, None]  # columns d, ..., 1
     degree = np.where(above.any(axis=1), d - above.argmax(axis=1), 0)
-    # A row of degree m whose lowest nonzero column is k has w**k as a
-    # factor: its first k roots are exactly 0, and _aberth solves only the
-    # quotient, columns k..m.  Far out the lower terms of a high power
-    # underflow to 0, and on w**k itself p and p' underflow together, so
-    # the iteration would stop unconverged at |w| well above 0.
     low = (coeffs != 0).argmax(axis=1)  # column m is nonzero, so k <= m
-    group = degree * (d + 1) + low  # (m, k) as one integer
-    found, owner = [np.zeros((0, n), dtype=complex)], [np.zeros(0, dtype=int)]
-    for key in sorted(set(group.tolist())):  # np.unique would load numpy.ma
-        m, k = divmod(key, d + 1)
-        if not m:
-            continue
-        at = np.flatnonzero(group == key)  # in trial order
-        w = np.zeros((len(at), m), dtype=complex)
-        if k < m:
-            w[:, k:] = _aberth(coeffs[at, k:m + 1] / coeffs[at, m, None], 1e-12)[0]
-        points = np.repeat(units[at, None, :], m, axis=1)
-        points[np.arange(len(at))[:, None], np.arange(m), free[at, None]] = w
-        # ||z|| >= R in scaled form: |u_k| = 1 makes it hold for every
-        # finite root, and a NaN fails it.
-        norms = np.sqrt(n - 1 + np.abs(w) ** 2)
-        keep = norms >= 1.0
-        found.append(points[keep] / norms[keep, None])
-        owner.append(np.broadcast_to(at[:, None], keep.shape)[keep])
-    order = np.argsort(np.concatenate(owner), kind="stable")  # trials, then roots
-    return np.concatenate(found)[order], int((degree == 0).sum())
+    roots = np.full((trials, d), math.nan, dtype=complex)
+    for m, k in set(zip(degree.tolist(), low.tolist())):  # rows of one (m, k) together
+        if m:
+            at = np.flatnonzero((degree == m) & (low == k))
+            roots[at, :m] = _deflated(coeffs[at, :m + 1] / coeffs[at, m, None], k, 1e-12)[0]
+    # ||z|| >= R in scaled form: |u_k| = 1 makes it hold for every finite
+    # root, and a NaN fails it.
+    norms = np.sqrt(n - 1 + np.abs(roots) ** 2)
+    keep = norms >= 1.0
+    trial = np.nonzero(keep)[0]  # the mask reads trials, then roots
+    points = np.exp(1j * theta)[trial]
+    points[np.arange(len(trial)), free[trial]] = roots[keep]
+    return points / norms[keep, None], int((degree == 0).sum())
 
 
 def sample_far_directions(f: Polynomial, radius: float, trials: int,
@@ -507,7 +506,6 @@ def sample_far_directions(f: Polynomial, radius: float, trials: int,
     normalized and kept, in the order of trials, then roots.
     Deterministic for a fixed seed.
     """
-    _require_seed(seed)
     directions, skipped = _far_points(f, radius, trials, seed)
     return FarSamples(tuple(map(tuple, directions.tolist())), radius, trials, skipped, seed)
 
@@ -536,11 +534,10 @@ def far_sample_report(f: Polynomial, radius: float = 1e6, trials: int = 100,
     Passes when at least ``min_fraction`` of the retained directions
     give a top-form residual below ``residual_tol``.  ``residual_tol``
     must be positive and finite, ``min_fraction`` lie in (0, 1],
-    ``trials`` be at most _MAX_TRIALS and ``seed`` be nonnegative.
+    ``trials`` run from 1 to _MAX_TRIALS and ``seed`` be nonnegative.
     """
     _require_positive("residual tolerance", residual_tol)
     _require_fraction("minimum fraction", min_fraction)
-    _require_seed(seed)
     directions, skipped = _far_points(f, radius, trials, seed)
     residuals = abs(_evaluate_rows(_compile(leading_form(f)), directions))
     if not len(residuals):

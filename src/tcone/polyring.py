@@ -126,7 +126,10 @@ class MonomialOrder(NamedTuple):
     @property
     def negated_key(self):
         """The exponent key with every entry negated, computed directly."""
-        return _NEGATED_KEYS[self.kind]
+        try:
+            return _NEGATED_KEYS[self.kind]
+        except KeyError:
+            raise ValueError(f"unknown order kind {self.kind!r}") from None
 
     def key(self, e: tuple[int, ...]) -> tuple[int, ...]:
         """The exponent key of the exponent tuple e."""

@@ -386,6 +386,8 @@ USAGE_ERRORS = {
     "steps-above-cap": ["verify", "distance", CUSP, "--direction", "0,1",
                         "--factor", "1.01", "--steps", "101"],
     "trials-above-cap": ["verify", "sample", CUSP, "--trials", "100001"],
+    "trials-zero": ["verify", "sample", CUSP, "--trials", "0"],
+    "trials-negative": ["verify", "sample", CUSP, "--trials", "-5"],
     "negative-seed-sample": ["verify", "sample", CUSP, "--seed", "-1"],
     "negative-seed-distance": ["verify", "distance", CUSP, "--direction", "1,0",
                                "--seed", "-1"],

@@ -24,6 +24,7 @@ from tcone.polyring import (
     ELIM_FIRST,
     GREVLEX,
     ORDERS_BY_NAME,
+    MonomialOrder,
     Polynomial,
     VariableContext,
     constant,
@@ -248,6 +249,17 @@ def test_buchberger_zero_ideal(xy):
         buchberger([zero(ctx)], GREVLEX)
     with pytest.raises(ZeroIdealError):
         buchberger([], GREVLEX)
+
+
+def test_unknown_order_kind_is_a_value_error(xy):
+    ctx, x, y = xy
+    bogus = MonomialOrder("bogus")
+    calls = [lambda: buchberger([x * y - 1], bogus),
+             lambda: normal_form(x**2, [x * y - 1], bogus),
+             lambda: reduce_basis([x * y - 1], bogus)]
+    for call in calls:
+        with pytest.raises(ValueError, match="^unknown order kind 'bogus'$"):
+            call()
 
 
 def test_buchberger_skips_zero_entries(xy):

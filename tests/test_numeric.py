@@ -629,10 +629,10 @@ def test_far_sampling_deflates_below_a_nonzero_constant():
 
 
 def test_seeded_tables_are_cached_read_only():
-    theta, units = numeric._angle_table(5, 7, 3)
-    assert numeric._angle_table(5, 7, 3)[0] is theta
+    theta = numeric._angle_table(5, 7, 3)
+    assert numeric._angle_table(5, 7, 3) is theta
     perturbations = numeric._perturbations(5, 3)
-    for array in (theta, units, *(u for u, _ in perturbations)):
+    for array in (theta, *(u for u, _ in perturbations)):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
@@ -722,8 +722,9 @@ def test_schedule_steps_and_sampling_trials_are_capped(xy, monkeypatch):
         raise AssertionError("angle table drawn before the trials were checked")
 
     monkeypatch.setattr(numeric, "_angle_table", drawn)
-    with pytest.raises(ValueError, match="at most 100,000 trials"):
-        far_sample_report(y**2 - x**3, trials=numeric._MAX_TRIALS + 1)
+    for trials in (0, -5, numeric._MAX_TRIALS + 1):
+        with pytest.raises(ValueError, match="at most 100,000 trials"):
+            far_sample_report(y**2 - x**3, trials=trials)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, 1.5, math.inf, math.nan])
