@@ -26,8 +26,9 @@ if TYPE_CHECKING:
     from .numeric import VerificationReport
 
 # Keyed by the verdict strings of tcone.numeric, which only the verify
-# commands import: gb, cone and member never need it, and importing it
-# (and numpy with it) would lengthen their start.
+# commands import: gb, cone and member never need it, and importing the
+# module, though it loads numpy only inside its functions, would
+# lengthen their start.
 _VERDICT_EXIT = {"pass": 0, "fail": 2, "inconclusive": 3}
 
 # The long options that take no value.  Every other one takes the next token.
@@ -80,28 +81,26 @@ def _emit_report(report: VerificationReport, as_json: bool) -> int:
     return _VERDICT_EXIT[report.verdict]
 
 
-def gb(args) -> int:
-    """Reduced Groebner basis of the ideal in IDEAL_FILE."""
-    ideal = _load_ideal(args.ideal_file)
-    basis = buchberger(ideal.polynomials, ORDERS_BY_NAME[args.order])
-    if args.json:
-        print(textio.render_json(basis))
-    else:
-        for g in basis:
-            print(textio.render_polynomial(g, basis.order))
-    return 0
-
-
-def cone(args) -> int:
-    """Generators of the tangent cone at infinity of V(IDEAL_FILE)."""
-    ideal = _load_ideal(args.ideal_file)
-    result = tangent_cone_at_infinity(ideal.polynomials, ORDERS_BY_NAME[args.order])
+def _print_generators(args, build) -> int:
+    """gb and cone: print the generators of build(polynomials, order)."""
+    order = ORDERS_BY_NAME[args.order]
+    result = build(_load_ideal(args.ideal_file).polynomials, order)
     if args.json:
         print(textio.render_json(result))
     else:
         for g in result.generators:
-            print(textio.render_polynomial(g, result.generators.order))
+            print(textio.render_polynomial(g, order))
     return 0
+
+
+def gb(args) -> int:
+    """Reduced Groebner basis of the ideal in IDEAL_FILE."""
+    return _print_generators(args, buchberger)
+
+
+def cone(args) -> int:
+    """Generators of the tangent cone at infinity of V(IDEAL_FILE)."""
+    return _print_generators(args, tangent_cone_at_infinity)
 
 
 def member(args) -> int:
@@ -123,31 +122,29 @@ def member(args) -> int:
     return 0
 
 
-def verify_ratio(args) -> int:
-    """Degree-normalized generator decay along a ray."""
-    from . import numeric
+def _ray_report(args, report, **options) -> int:
+    """verify ratio and distance: load the ideal, parse the direction, build
+    the reduced basis and the schedule, in that order, and emit the report."""
+    from .numeric import TSchedule
     ideal = _load_ideal(args.ideal_file)
     v = parse_point(args.direction, ideal.context).complexes
     basis = buchberger(ideal.polynomials, ORDERS_BY_NAME[args.order])
-    sched = numeric.TSchedule(args.t0, args.factor, args.steps)
-    report = numeric.loj_ratio_schedule(basis.generators, v, sched,
-                                        pass_decay=args.pass_decay,
-                                        plateau_tol=args.plateau_tol)
-    return _emit_report(report, args.json)
+    sched = TSchedule(args.t0, args.factor, args.steps)
+    return _emit_report(report(basis.generators, v, sched, pass_decay=args.pass_decay,
+                               plateau_tol=args.plateau_tol, **options), args.json)
+
+
+def verify_ratio(args) -> int:
+    """Degree-normalized generator decay along a ray."""
+    from .numeric import loj_ratio_schedule
+    return _ray_report(args, loj_ratio_schedule)
 
 
 def verify_distance(args) -> int:
     """Distance-ratio decay dist(t*v, V)/t along a ray."""
-    from . import numeric
-    ideal = _load_ideal(args.ideal_file)
-    v = parse_point(args.direction, ideal.context).complexes
-    basis = buchberger(ideal.polynomials, ORDERS_BY_NAME[args.order])
-    sched = numeric.TSchedule(args.t0, args.factor, args.steps)
-    report = numeric.distance_ratio_report(basis.generators, v, sched, seed=args.seed,
-                                           residual_tol=args.residual_tol,
-                                           pass_decay=args.pass_decay,
-                                           plateau_tol=args.plateau_tol)
-    return _emit_report(report, args.json)
+    from .numeric import distance_ratio_report
+    return _ray_report(args, distance_ratio_report, seed=args.seed,
+                       residual_tol=args.residual_tol)
 
 
 def verify_sample(args) -> int:

@@ -21,8 +21,9 @@ identical to the rational one, term for term.  ``normal_form`` divides
 by a Basis's reducers, a plain sequence made one first, and cone
 membership evaluates them at integer points (``_vanish``).  ``buchberger``
 stays on reducers from its inputs to its final remainders, the only
-elements made Fractions, and stops with a BasisLimitError past
-``_MAX_BASIS`` elements or ``_DEADLINE_S`` seconds.
+elements made Fractions: its working basis holds reducers and no
+generators.  It stops with a BasisLimitError past ``_MAX_BASIS``
+elements or ``_DEADLINE_S`` seconds.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ def _overdue():
 class Basis:
     """An ordered generating set under a fixed monomial order.
 
-    Immutable; equal and hashed by (generators, order).  The basis that
-    buchberger hands to reduce_basis holds only its reducers and builds
-    its generators only when asked.
+    Immutable; equal and hashed by (generators, order).  The working
+    basis that buchberger hands to reduce_basis holds only its context,
+    reducers and order, and has no generators.
     """
 
     def __init__(self, generators: tuple[Polynomial, ...], order: MonomialOrder):
@@ -96,11 +97,6 @@ class Basis:
     @cached_property
     def context(self) -> VariableContext:
         return self.generators[0].context
-
-    @cached_property
-    def generators(self) -> tuple[Polynomial, ...]:
-        """The reducers made monic."""
-        return tuple(_monic(self.context, _terms(r)) for r in self._reducers)
 
     @cached_property
     def _reducers(self) -> list[tuple]:

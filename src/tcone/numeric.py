@@ -540,22 +540,19 @@ def far_sample_report(f: Polynomial, radius: float = 1e6, trials: int = 100,
     _require_fraction("minimum fraction", min_fraction)
     directions, skipped = _far_points(f, radius, trials, seed)
     residuals = abs(_evaluate_rows(_compile(leading_form(f)), directions))
+    samples = tuple((radius, r) for r in residuals.tolist()) or ((radius, None),)
     if not len(residuals):
-        return VerificationReport(
-            kind="sample", samples=((radius, None),), fitted_decay_exponent=None,
-            verdict=INCONCLUSIVE,
-            diagnostics=f"no directions retained ({skipped} trials skipped)",
-            seed=seed, radius=radius, trials=trials)
-    good = int((residuals < residual_tol).sum())
-    fraction = good / len(residuals)
-    verdict = PASS if fraction >= min_fraction else FAIL
-    diagnostics = (f"{good}/{len(residuals)} directions below residual "
-                   f"{residual_tol:g} (fraction {fraction:.4f}, need {min_fraction:g}); "
-                   f"{skipped} trials skipped")
-    return VerificationReport(
-        kind="sample", samples=tuple((radius, r) for r in residuals.tolist()),
-        fitted_decay_exponent=None, verdict=verdict, diagnostics=diagnostics,
-        seed=seed, radius=radius, trials=trials)
+        verdict, diagnostics = INCONCLUSIVE, f"no directions retained ({skipped} trials skipped)"
+    else:
+        good = int((residuals < residual_tol).sum())
+        fraction = good / len(residuals)
+        verdict = PASS if fraction >= min_fraction else FAIL
+        diagnostics = (f"{good}/{len(residuals)} directions below residual "
+                       f"{residual_tol:g} (fraction {fraction:.4f}, need {min_fraction:g}); "
+                       f"{skipped} trials skipped")
+    return VerificationReport(kind="sample", samples=samples, fitted_decay_exponent=None,
+                              verdict=verdict, diagnostics=diagnostics, seed=seed,
+                              radius=radius, trials=trials)
 
 
 def _fit_decay_exponent(samples: Sequence[tuple[float, float | None]]) -> float | None:
@@ -600,7 +597,7 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
     degrees = [total_degree(g) for g in gens]
     evaluate = _evaluator([_compile(g) for g in gens], gens[0].context.n)
     samples: list[tuple[float, float | None]] = []
-    overflow_at = None
+    overflowed = []
     empty = 0 in degrees
     for t in sched.values():
         point = [t * complex(z) for z in v]
@@ -608,15 +605,15 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
             r = None if empty else max(abs(g) ** (1.0 / d)
                                        for g, d in zip(evaluate(*point), degrees)) / t
         except (EvaluationOverflowError, OverflowError):  # abs(g) may overflow too
-            overflow_at = t
-            samples.append((t, None))
-            continue
+            overflowed.append(t)
+            r = None
         samples.append((t, r))
     values = [r for _, r in samples]
     if empty:
         verdict, diagnostics = FAIL, "a generator is a nonzero constant: V is empty"
-    elif overflow_at is not None:
-        verdict, diagnostics = INCONCLUSIVE, f"evaluation overflow at t={overflow_at:g}"
+    elif overflowed:
+        verdict = INCONCLUSIVE
+        diagnostics = "evaluation overflow at t=" + ", ".join(f"{t:g}" for t in overflowed)
     elif all(r == 0 for r in values):
         verdict = PASS
         diagnostics = "all ratios vanish: the ray lies in the common zero set"

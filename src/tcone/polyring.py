@@ -213,7 +213,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        return _raw(self.context, _add_terms(self.terms, other.terms))
+        return _raw(self.context, _add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -270,12 +270,8 @@ def _raw(context: VariableContext, terms: dict[tuple[int, ...], Fraction]) -> Po
 # computes on them too.  Each returns a new dict, except _add_into, which
 # adds into its first argument.  Insertion order is part of the result
 # (verify sample sums the parsed polynomial's terms in it): a sum keeps
-# a's terms in place, appends b's new monomials and drops a monomial whose
-# coefficient cancels.
-
-
-def _add_terms(a: dict, b: dict) -> dict:
-    return _add_into(dict(a), b)
+# its first operand's terms in place, appends the second's new monomials
+# and drops a monomial whose coefficient cancels.
 
 
 def _add_into(res: dict, b: dict) -> dict:

@@ -421,6 +421,22 @@ def test_option_value_may_start_with_minus(capsys, args, expected):
     assert expected in out
 
 
+def test_double_dash_ends_the_options(capsys):
+    # After "--" every token is positional, so "--point --" takes no value.
+    assert run(capsys, ["member", "--point", "0,0,1", "--", FIVELINES]) == (0, "true\n", "")
+    assert run(capsys, ["member", FIVELINES, "--point", "--", "-1,0,0"]) == (
+        1, "", "error: argument --point: expected one argument\n")
+
+
+def test_verify_ratio_names_every_overflowed_step(capsys, tmp_path):
+    path = ideal_file(tmp_path, "vars x y\npoly (x-y)^10 + x^9\n")
+    code, out, err = run(capsys, ["verify", "ratio", path, "--direction", "1,1",
+                                  "--t0", "1e300", "--factor", "1.5", "--steps", "2"])
+    assert code == 3
+    assert "t=1e+300 value=n/a\nt=1.5e+300 value=n/a\n" in out
+    assert err == "verdict: inconclusive (evaluation overflow at t=1e+300, 1.5e+300)\n"
+
+
 def test_help_exit_zero(capsys):
     code, out, _ = run(capsys, ["--help"])
     assert code == 0

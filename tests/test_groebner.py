@@ -545,3 +545,32 @@ def test_ideal_member_agrees_with_cofactor_search():
         basis = buchberger(gens, GREVLEX)
         assert ideal_member(f, basis) == cofactor_membership(f, gens, bound=4)
         cases += 1
+
+
+def test_division_input_errors(xy):
+    ctx, x, y = xy
+    (u,) = variables(VariableContext(("u",)))
+    with pytest.raises(ZeroIdealError, match="^zero divisor polynomial$"):
+        normal_form(x, [x, zero(ctx)], GREVLEX)
+    with pytest.raises(ValueError, match="^generators from different contexts$"):
+        normal_form(x, [u], GREVLEX)
+    with pytest.raises(ValueError, match="^order required when divisors are a plain sequence$"):
+        normal_form(x, [y])
+    with pytest.raises(ZeroIdealError, match="^s-polynomial of a zero polynomial$"):
+        s_polynomial(x, zero(ctx), GREVLEX)
+
+
+def test_zero_ideal_errors(xy):
+    ctx, x, y = xy
+    with pytest.raises(ZeroIdealError, match="^zero ideal$"):
+        reduce_basis([zero(ctx)], GREVLEX)
+    with pytest.raises(ZeroIdealError, match="^zero ideal$"):
+        ideal_intersect([zero(ctx)], [x])
+
+
+def test_intersect_picks_a_fresh_auxiliary_name():
+    # "_w" is taken, so the auxiliary variable is "__w".
+    ctx = VariableContext(("_w", "x"))
+    w, x = variables(ctx)
+    assert groebner._fresh_name(ctx.names, "w") == "__w"
+    assert ideal_intersect([w], [x]) == [w * x]

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 import random
 import struct
@@ -909,3 +910,36 @@ def test_non_radical_cone_reports(xy, report):
     basis = buchberger([(y - x**2)**2], GREVLEX)
     assert report(basis.generators, (0, 1), TSchedule()).verdict == "pass"
     assert report(basis.generators, (1, 1), TSchedule()).verdict == "fail"
+
+
+def test_report_input_errors(xy):
+    ctx, x, y = xy
+    zero = x - x
+    with pytest.raises(ValueError, match="^generators must be nonzero$"):
+        loj_ratio_schedule([x, zero], (1, 0), TSchedule())
+    with pytest.raises(ValueError, match="^generators must not all be zero$"):
+        estimate_distance_upper([zero], (1, 0))
+    with pytest.raises(ValueError, match="^start point has 3 entries, expected 2$"):
+        estimate_distance_upper([x], (1, 0, 0))
+    with pytest.raises(ValueError, match="^direction must be nonzero$"):
+        distance_ratio_report([x], (0, 0), TSchedule())
+    with pytest.raises(ValueError, match="^unknown variable 'z'$"):
+        substitute_partial(x * y, {"x": 1}, "z")
+
+
+def test_levenberg_run_gives_up_at_its_iteration_cap(xy, monkeypatch):
+    ctx, x, y = xy
+    gens = [x**2 + y**2 - 1]
+    evaluate = numeric._evaluator([numeric._compile(g) for g in gens], 2)
+    partials = numeric._evaluator([numeric._compile(differentiate(g, j))
+                                   for g in gens for j in range(2)], 2, jacobian=True)
+    residual_at = functools.partial(numeric._residual_at, evaluate, [2], 1e-10)
+    jacobian = functools.partial(numeric._real_jacobian, partials, 2)
+    start, eye = (3 + 0j, 4 + 0j), np.eye(4)
+    # From (3, 4) the sixth step lands near (0.6, 0.8); with five the run gives up.
+    with np.errstate(all="ignore"):
+        monkeypatch.setattr(numeric, "_MAX_ITERATIONS", 6)
+        landed = numeric._levenberg_run(residual_at, jacobian, start, eye)
+        assert abs(landed[0] - 0.6) < 1e-9 and abs(landed[1] - 0.8) < 1e-9
+        monkeypatch.setattr(numeric, "_MAX_ITERATIONS", 5)
+        assert numeric._levenberg_run(residual_at, jacobian, start, eye) is None

@@ -19,7 +19,9 @@ from tcone.polyring import (
     evaluate_exact,
     leading_form,
     leading_term,
+    monic,
     total_degree,
+    variables,
     zero,
 )
 
@@ -407,3 +409,28 @@ def test_degree_additivity():
             continue
         assert total_degree(f * g) == total_degree(f) + total_degree(g)
         checked += 1
+
+
+def test_negative_power_raises():
+    (x,) = variables(VariableContext(("x",)))
+    with pytest.raises(ValueError, match="^exponent must be a nonnegative integer$"):
+        x ** -1
+
+
+def test_monic_divides_by_a_leading_coefficient_other_than_one():
+    (x,) = variables(VariableContext(("x",)))
+    assert monic(2 * x + 1, GREVLEX) == x + Fraction(1, 2)
+    f = x + 3
+    assert monic(f, GREVLEX) is f
+
+
+def test_polynomial_and_context_are_immutable_with_a_repr():
+    ctx = VariableContext(("x", "y"))
+    x, y = variables(ctx)
+    f = 2 * x * y - 1
+    for obj, attr in ((f, "terms"), (ctx, "names")):
+        with pytest.raises(AttributeError, match="is immutable$"):
+            setattr(obj, attr, None)
+    assert repr(ctx) == "VariableContext(('x', 'y'))"
+    assert repr(f) == "Polynomial(2*(1, 1) + -1*(0, 0))"
+    assert repr(zero(ctx)) == "Polynomial(0)"

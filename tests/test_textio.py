@@ -654,3 +654,8 @@ def test_render_report_text(five_lines):
 def test_dumps_rejects_nan():
     with pytest.raises(ValueError):
         dumps({"x": float("nan")})
+
+
+def test_render_json_rejects_other_objects():
+    with pytest.raises(TypeError, match="^cannot render object$"):
+        render_json(object())
