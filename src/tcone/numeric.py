@@ -223,6 +223,9 @@ def evaluate_complex(f: Polynomial, point: Sequence[complex]) -> complex:
 # of the batched root finder, so its workspace stays bounded at any degree.
 _PAIR_BLOCK = 1 << 14
 
+# The relative correction below which the root finder freezes a row.
+_ROOT_TOL = 1e-12
+
 
 def _horner(a: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p(z) and p'(z) for each monic row of ``a`` (ascending) at each entry of z.
@@ -270,7 +273,7 @@ def _pair_sums(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _aberth(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _aberth(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of every monic row of ``a`` (ascending) together: (z, converged, sweeps).
 
     Aberth-Ehrlich iteration (Aberth 1973) on all rows at once, each sweep
@@ -278,9 +281,9 @@ def _aberth(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     The n starts are equally spaced, at angle offset 0.4, on the circle of
     radius rho = max_k |a_k|**(1/(n-k)) (1 when that is 0), the scale of
     the roots: their moduli are at most 2*rho (Fujiwara's bound).  A row
-    is frozen once its largest correction drops below tol times its root
-    scale max(1, max |z_i|), after 500 sweeps, or, unconverged at its last
-    finite estimates, when a sweep would leave a root non-finite.
+    is frozen once its largest correction drops below _ROOT_TOL times its
+    root scale max(1, max |z_i|), after 500 sweeps, or, unconverged at its
+    last finite estimates, when a sweep would leave a root non-finite.
     """
     import numpy as np
     rows, n = a.shape[0], a.shape[1] - 1
@@ -300,14 +303,14 @@ def _aberth(a: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
             zl = zl - step
             sweeps[live] += 1
             finite = np.isfinite(zl).all(axis=1)
-            done = np.abs(step).max(axis=1) < tol * np.abs(zl).max(axis=1, initial=1.0)
+            done = np.abs(step).max(axis=1) < _ROOT_TOL * np.abs(zl).max(axis=1, initial=1.0)
             z[live[finite]] = zl[finite]
             converged[live[finite & done]] = True
             live = live[finite & ~done]
     return z, converged, sweeps
 
 
-def _deflated(a: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _deflated(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_aberth`` on monic rows of ``a`` whose k lowest coefficients are 0.
 
     Their first k roots are exactly 0, and only the quotient, columns k
@@ -321,11 +324,11 @@ def _deflated(a: np.ndarray, k: int, tol: float) -> tuple[np.ndarray, np.ndarray
     z = np.zeros((rows, n), dtype=complex)
     if k == n:
         return z, np.ones(rows, dtype=bool), np.zeros(rows, dtype=int)
-    z[:, k:], converged, sweeps = _aberth(a[:, k:], tol)
+    z[:, k:], converged, sweeps = _aberth(a[:, k:])
     return z, converged, sweeps
 
 
-def roots_univariate(coeffs: Sequence[complex], tol: float = 1e-12) -> RootsResult:
+def roots_univariate(coeffs: Sequence[complex]) -> RootsResult:
     """All complex roots: the one-row call of the batched Aberth solver.
 
     ``coeffs`` are ascending (coeffs[k] multiplies z**k); the polynomial
@@ -345,7 +348,7 @@ def roots_univariate(coeffs: Sequence[complex], tol: float = 1e-12) -> RootsResu
     if abs(a[-1]) <= 1e-30 * np.abs(a).max():
         raise ValueError("degenerate leading coefficient")
     a = (a / a[-1])[None, :]
-    z, converged, sweeps = _deflated(a, int((a[0] != 0).argmax()), tol)  # a[0, -1] = 1
+    z, converged, sweeps = _deflated(a, int((a[0] != 0).argmax()))  # a[0, -1] = 1
     with np.errstate(all="ignore"):
         residuals = np.abs(_horner(a, z)[0][0])
     return RootsResult(tuple(z[0].tolist()), tuple(residuals.tolist()),
@@ -477,7 +480,7 @@ def _far_points(f: Polynomial, radius: float, trials: int,
     for m, k in set(zip(degree.tolist(), low.tolist())):  # rows of one (m, k) together
         if m:
             at = np.flatnonzero((degree == m) & (low == k))
-            roots[at, :m] = _deflated(coeffs[at, :m + 1] / coeffs[at, m, None], k, 1e-12)[0]
+            roots[at, :m] = _deflated(coeffs[at, :m + 1] / coeffs[at, m, None], k)[0]
     # ||z|| >= R in scaled form: |u_k| = 1 makes it hold for every finite
     # root, and a NaN fails it.
     norms = np.sqrt(n - 1 + np.abs(roots) ** 2)
@@ -755,19 +758,6 @@ def _dist(a: Sequence[complex], b: Sequence[complex]) -> float:
     return _norm([x - y for x, y in zip(a, b)])
 
 
-def _vector_norm(x: np.ndarray) -> float:
-    """float(np.linalg.norm(x)) for a 1-D array, bit for bit, without its
-    wrapper: the square root of the same dot products."""
-    if x.dtype.kind == "c":
-        return _interleaved_norm(x.real, x.imag)
-    return math.sqrt(x.dot(x))
-
-
-def _interleaved_norm(re: np.ndarray, im: np.ndarray) -> float:
-    """The norm of the complex vector re + i*im, as _vector_norm takes it."""
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
 def _steps(delta: Sequence[float]) -> list[complex]:
     """The complex vector delta[0::2] + 1j * delta[1::2], bit for bit as
     numpy forms it: 1j * (i + 0j) is (0*i - 0, 0*0 + i), then the real
@@ -807,26 +797,24 @@ def _tangential_polish(residual_at, jacobian, x0, landed, eye) -> ComplexPoint:
     best-effort local improvement, not a certified nearest point.
 
     Points are lists of Python complex, as in _levenberg_run.  numpy
-    forms only J @ d, the least-squares solve (_lstsq, the gufunc behind
-    np.linalg.lstsq) and the norms' dot products; the differences, the
-    step and each trial z + alpha * step are formed in Python with the
-    operations numpy performs, so every bit is that of the same loop on
-    numpy arrays.
+    forms only J @ d and the least-squares solve (_lstsq, the gufunc
+    behind np.linalg.lstsq); the differences, the step and each trial
+    z + alpha * step are formed in Python with the operations numpy
+    performs, and every norm is _norm's.
     """
     import numpy as np
     z = list(landed)
-    best = _vector_norm(np.array([a - b for a, b in zip(z, x0)]))
+    best = _dist(x0, z)
     if best == 0:
         return landed
     for _ in range(_POLISH_CYCLES):
         d = [a - b for a, b in zip(x0, z)]
-        d_real = np.array([x for c in d for x in (c.real, c.imag)])
+        d_real = np.array(d).view(float)  # (re d_0, im d_0, re d_1, ...)
         J = jacobian(z)
-        tangent = d_real - _lstsq(J, J @ d_real)
-        t_norm = _vector_norm(tangent)
-        if t_norm < 1e-13 * (1.0 + best):
+        tangent = (d_real - _lstsq(J, J @ d_real)).tolist()
+        if _norm(tangent) < 1e-13 * (1.0 + best):
             break
-        step = _steps(tangent.tolist())
+        step = _steps(tangent)
         alpha = 1.0
         improved = False
         while alpha > 1e-4:
@@ -873,10 +861,11 @@ def _levenberg_run(residual_at, jacobian, start, eye) -> ComplexPoint | None:
     below 1e-16 of ||z||.
 
     The point z is a list of Python complex.  numpy runs only what its
-    bits depend on: J^T J, J^T res, the solve, res @ res and the dot
-    products of the norms.  Each step is read from delta.tolist() and
-    the candidate z + step formed in Python with numpy's operations
-    (_steps), so every bit is that of the same loop on numpy arrays.
+    bits depend on: J^T J, J^T res, the solve and res @ res.  Each step
+    is read from delta.tolist() and the candidate z + step formed in
+    Python with numpy's operations (_steps), so every bit is that of the
+    same loop on numpy arrays; the step-size test takes _norm of the
+    step and of z.
     The solve goes through _solve, the gufunc behind np.linalg.solve,
     because on these 4x4 to 6x6 systems the wrapper cost three to four
     times the solve itself.  A singular pivot returns all NaN instead of
@@ -889,7 +878,6 @@ def _levenberg_run(residual_at, jacobian, start, eye) -> ComplexPoint | None:
     caller must hold ``np.errstate(all="ignore")``: a singular pivot sets
     the invalid flag, and far out J^T J may overflow.
     """
-    import numpy as np
     z = list(start)
     try:
         res, lands = residual_at(z)
@@ -905,12 +893,12 @@ def _levenberg_run(residual_at, jacobian, start, eye) -> ComplexPoint | None:
         b = -(J.T @ res)
         accepted = False
         while damping <= 1e12:
-            delta = _solve(A + damping * eye, b)
-            d = delta.tolist()
+            d = _solve(A + damping * eye, b).tolist()
             if d[0] != d[0] and all(x != x for x in d):  # all NaN
                 damping *= 10
                 continue
-            candidate = [x + s for x, s in zip(z, _steps(d))]
+            step = _steps(d)
+            candidate = [x + s for x, s in zip(z, step)]
             try:
                 cand_res, cand_lands = residual_at(candidate)
             except EvaluationOverflowError:
@@ -927,11 +915,7 @@ def _levenberg_run(residual_at, jacobian, start, eye) -> ComplexPoint | None:
             return None
         if lands:
             return tuple(z)
-        # ||step|| from delta itself: a step's real part r + (0*i - 0)
-        # differs from r only in the sign of a zero, which squares the
-        # same, or where i is not finite, which makes both norms NaN or
-        # inf and the test false.
-        if _interleaved_norm(delta[0::2], delta[1::2]) < 1e-16 * (1.0 + _vector_norm(np.array(z))):
+        if _norm(step) < 1e-16 * (1.0 + _norm(z)):
             return None
     return None
 
@@ -975,7 +959,7 @@ def distance_ratio_report(F: Sequence[Polynomial], v: Sequence[complex], sched: 
         verdict = INCONCLUSIVE
         diagnostics = ("solver did not converge at t = "
                        + ", ".join(f"{t:g}" for t in failed_steps))
-    elif values[0] == 0 and values[-1] == 0:
+    elif all(r == 0 for r in values):
         verdict = PASS
         diagnostics = "ray lies on the variety: distance bound is zero throughout"
     elif values[0] > 0 and values[-1] <= pass_decay * values[0]:

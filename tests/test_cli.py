@@ -220,6 +220,21 @@ def test_verify_distance_ray_meeting_v_passes(capsys):
     assert err == "verdict: pass (ratio falls from 8659.68 to 0 (factor inf))\n"
 
 
+@pytest.mark.parametrize("kind", ["distance", "ratio"])
+@pytest.mark.parametrize("text,direction", [
+    ("vars x y\npoly (x-10)*(x-100000)\n", "1,0"),
+    ("vars x y\npoly (x-10)*(x-100000)*y\n", "1,1")], ids=["x-line", "x-line-times-y"])
+def test_ray_meeting_v_only_at_the_ends_does_not_pass(capsys, tmp_path, kind, text, direction):
+    # t*v meets V at t = 10 and t = 1e5 only, so the first and last values
+    # are 0 and the middle ones are not; v lies off the cone V(x^2) (times
+    # V(y) in the second ideal).  Zero ends are not zero throughout.
+    code, out, err = run(capsys, ["verify", kind, ideal_file(tmp_path, text),
+                                  "--direction", direction])
+    assert "t=10 value=0.0" in out and "t=100000 value=0.0" in out
+    assert code == 3
+    assert err == "verdict: inconclusive (neither clear decay nor a plateau over this schedule)\n"
+
+
 @pytest.mark.parametrize("kind,path,direction", [("distance", CUSP, "1,0"),
                                                  ("ratio", FIVELINES, "0,0,1")])
 def test_fine_schedule_on_a_cone_direction_is_inconclusive(capsys, kind, path, direction):
