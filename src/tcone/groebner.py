@@ -373,7 +373,7 @@ def reduce_basis(G: Sequence[Polynomial] | Basis, order: MonomialOrder) -> Basis
         if not gens:
             raise ZeroIdealError("zero ideal")
         G = Basis(gens, order)
-    key = order.exponent_key
+    key = order.key
     R: list[tuple] = []
     for r in sorted(G._reducers, key=lambda r: key(r[0])):
         if not any(all(map(le, h[0], r[0])) for h in R):

@@ -45,9 +45,12 @@ class EvaluationOverflowError(ArithmeticError):
 
 
 # Work caps, checked before any work: a distance report costs about
-# 30 ms a step, far sampling about 50 us a trial.
+# 30 ms a step, far sampling about 50 us a trial.  Far sampling's tables
+# take about 110 bytes an entry, trials times the larger of degree + 1
+# and the number of terms, so its entry cap is about 1.1 GB.
 _MAX_STEPS = 100
 _MAX_TRIALS = 100_000
+_MAX_TABLE_ENTRIES = 10_000_000
 _PLATEAU_SPAN = 10.0  # least t_last / t_first over a plateau's three steps (100 by default)
 
 
@@ -446,13 +449,17 @@ def _far_points(f: Polynomial, radius: float, trials: int,
     if not 1 <= trials <= _MAX_TRIALS:
         raise ValueError(f"far sampling needs at least 1 and at most {_MAX_TRIALS:,} trials, "
                          f"not {trials:,}")
-    # f compiled once in scaled form: term t contributes
-    # scaled[t] * exp(i * sum_k e_tk * theta_k) * w**e_tj
     d = total_degree(f)
     try:
         exps = np.array(list(f.terms), dtype=np.int64)
     except OverflowError:
         raise ValueError("far sampling needs exponents below 2**63") from None
+    entries = trials * max(d + 1, len(f.terms))
+    if entries > _MAX_TABLE_ENTRIES:
+        raise ValueError(f"far sampling needs at most {_MAX_TABLE_ENTRIES:,} table entries "
+                         f"(trials times the larger of degree + 1 and terms), not {entries:,}")
+    # f compiled once in scaled form: term t contributes
+    # scaled[t] * exp(i * sum_k e_tk * theta_k) * w**e_tj
     # R >= 1 makes every factor R**(|e| - d) at most 1.
     scaled = np.array([_coefficient(c) * radius ** (sum(e) - d)
                        for e, c in f.terms.items()])

@@ -8,8 +8,9 @@ operation is a pure function, so polynomials may be shared freely
 across threads.
 
 Monomial orders: lex, grlex, grevlex, and a block order that eliminates
-the first variable and falls back to grevlex on the rest.  Each sorts
-exponent tuples through its ``key``.
+the first variable and falls back to grevlex on the rest.  Each is
+defined once, by its negated key, which sorts exponent tuples largest
+first; ``key``, which sorts them ascending, is that key negated back.
 """
 
 from __future__ import annotations
@@ -75,27 +76,9 @@ class VariableContext:
             raise KeyError(f"unknown variable {name!r}") from None
 
 
-def _lex_key(e: tuple[int, ...]) -> tuple[int, ...]:
-    return e
-
-
-def _grlex_key(e: tuple[int, ...]) -> tuple[int, ...]:
-    return (sum(e),) + e
-
-
-def _grevlex_key(e: tuple[int, ...]) -> tuple[int, ...]:
-    return (sum(e),) + tuple(map(_neg, reversed(e)))
-
-
-def _elim1_key(e: tuple[int, ...]) -> tuple[int, ...]:
-    rest = e[1:]
-    return (e[0], sum(rest)) + tuple(map(_neg, reversed(rest)))
-
-
-_EXPONENT_KEYS = {"lex": _lex_key, "grlex": _grlex_key,
-                  "grevlex": _grevlex_key, "elim1": _elim1_key}
-
-# Each key negated, built directly: a min-heap on it pops the largest monomial first.
+# The one definition of each order, in the form the division heap needs:
+# sorting by it (or a min-heap on it) lists monomials largest first.
+# ``MonomialOrder.key`` negates it to sort them ascending.
 _NEGATED_KEYS = {
     "lex": lambda e: tuple(map(_neg, e)),
     "grlex": lambda e: (-sum(e),) + tuple(map(_neg, e)),
@@ -115,25 +98,19 @@ class MonomialOrder(NamedTuple):
     kind: str
 
     @property
-    def exponent_key(self):
-        """The order's key on exponent tuples: a flat tuple of ints that
-        sorts like the monomial among monomials of its context."""
-        try:
-            return _EXPONENT_KEYS[self.kind]
-        except KeyError:
-            raise ValueError(f"unknown order kind {self.kind!r}") from None
-
-    @property
     def negated_key(self):
-        """The exponent key with every entry negated, computed directly."""
+        """The order's negated key on exponent tuples: a flat tuple of ints
+        that sorts the monomials of one context largest first."""
         try:
             return _NEGATED_KEYS[self.kind]
         except KeyError:
             raise ValueError(f"unknown order kind {self.kind!r}") from None
 
     def key(self, e: tuple[int, ...]) -> tuple[int, ...]:
-        """The exponent key of the exponent tuple e."""
-        return self.exponent_key(e)
+        """The exponent key of the exponent tuple e, the negated key with
+        every entry negated: it sorts like the monomial among monomials of
+        its context."""
+        return tuple(map(_neg, self.negated_key(e)))
 
     @property
     def degree_compatible(self) -> bool:
@@ -368,7 +345,7 @@ def leading_term(f: Polynomial, order: MonomialOrder) -> tuple[tuple[int, ...], 
     """(exponent tuple, coefficient) of the largest term under the order."""
     if f.is_zero():
         raise ZeroPolynomialError("leading term of the zero polynomial is undefined")
-    e = max(f.terms, key=order.key)
+    e = min(f.terms, key=order.negated_key)
     return e, f.terms[e]
 
 

@@ -403,6 +403,8 @@ USAGE_ERRORS = {
     "trials-above-cap": ["verify", "sample", CUSP, "--trials", "100001"],
     "trials-zero": ["verify", "sample", CUSP, "--trials", "0"],
     "trials-negative": ["verify", "sample", CUSP, "--trials", "-5"],
+    "table-above-cap": ["verify", "sample", str(DATA / "degree1000.ideal"),
+                        "--trials", "100000"],
     "negative-seed-sample": ["verify", "sample", CUSP, "--seed", "-1"],
     "negative-seed-distance": ["verify", "distance", CUSP, "--direction", "1,0",
                                "--seed", "-1"],

@@ -587,7 +587,7 @@ def test_far_sampling_exact_zero_roots(xy):
     _, x, y = xy
     f = x**400 - y + 1
 
-    def solved(a, tol):
+    def solved(a):
         raise AssertionError(f"_aberth handed {a.shape[0]} rows of degree {a.shape[1] - 1}")
 
     with pytest.MonkeyPatch.context() as m:
@@ -710,6 +710,28 @@ def test_schedule_steps_and_sampling_trials_are_capped(xy, monkeypatch):
     for trials in (0, -5, numeric._MAX_TRIALS + 1):
         with pytest.raises(ValueError, match="at most 100,000 trials"):
             far_sample_report(y**2 - x**3, trials=trials)
+
+
+def test_far_sampling_caps_its_table_entries(xy, monkeypatch):
+    """Trials times the larger of degree + 1 and the number of terms is
+    checked before any table is drawn: x^(10^12) - y would ask for 43.7 TiB."""
+    _, x, y = xy
+
+    def drawn(*args):
+        raise AssertionError("angle table drawn before the table size was checked")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(numeric, "_angle_table", drawn)
+        with pytest.raises(ValueError, match="^far sampling needs at most 10,000,000 table "
+                                             r"entries \(.*\), not 3,000,000,000,003$"):
+            far_sample_report(x**(10**12) - y, trials=3)
+        monkeypatch.setattr(numeric, "_MAX_TABLE_ENTRIES", 12)
+        # x^3 - y + 1 counts degree + 1 = 4 entries a trial, x + y + 1 its 3 terms.
+        for f, trials, entries in ((x**3 - y + 1, 4, 16), (x + y + 1, 5, 15)):
+            with pytest.raises(ValueError, match=f"not {entries}$"):
+                sample_far_directions(f, 1e6, trials, 7)
+    assert far_sample_report(x**3 - y + 1, trials=3).trials == 3  # 12 entries, at the cap
+    assert far_sample_report(x + y + 1, trials=4).trials == 4
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, 1.5, math.inf, math.nan])

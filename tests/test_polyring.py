@@ -310,7 +310,7 @@ def all_monomials(n, max_degree):
             yield exps
 
 
-@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX])
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX, ELIM_FIRST])
 def test_order_total_and_multiplicative(order):
     monos = list(all_monomials(3, 4))
     keys = [order.key(m) for m in monos]

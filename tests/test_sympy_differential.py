@@ -1,4 +1,5 @@
-"""Differential check of buchberger against sympy.groebner on seeded small ideals."""
+"""Differential checks against sympy: buchberger against sympy.groebner on
+seeded small ideals, and the monomial orders against sympy's orderings."""
 
 import random
 from fractions import Fraction
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tcone.groebner import buchberger
-from tcone.polyring import ORDERS_BY_NAME, Polynomial, VariableContext, monic
+from tcone.polyring import (ELIM_FIRST, GREVLEX, GRLEX, LEX, ORDERS_BY_NAME, Polynomial,
+                            VariableContext, monic)
 
-from test_polyring import random_poly
+from test_polyring import all_monomials, random_poly
 
 sympy = pytest.importorskip("sympy")
 
@@ -43,6 +45,20 @@ def sympy_basis(gens, kind):
     # sympy may return the basis over ZZ, where quo_ground would floor.
     return {frozenset((e, Fraction(int(c.p), int(c.q))) for e, c in p.terms())
             for p in (p.to_field().quo_ground(p.LC(order=kind)) for p in basis.polys)}
+
+
+def sympy_order(order):
+    orderings = sympy.polys.orderings
+    if order == ELIM_FIRST:  # the first variable eliminated, grevlex on the rest
+        return orderings.ProductOrder((orderings.grevlex, lambda m: m[:1]),
+                                      (orderings.grevlex, lambda m: m[1:]))
+    return getattr(orderings, order.kind)
+
+
+@pytest.mark.parametrize("order", [LEX, GRLEX, GREVLEX, ELIM_FIRST])
+def test_order_key_sorts_like_sympy(order):
+    monos = list(all_monomials(4, 5))
+    assert sorted(monos, key=order.key) == sorted(monos, key=sympy_order(order))
 
 
 @pytest.mark.parametrize("kind", ["lex", "grlex", "grevlex"])
