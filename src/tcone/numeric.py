@@ -15,11 +15,13 @@ report is bit-reproducible.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import sys
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+from .groebner import _shared_context
 from .polyring import Polynomial, differentiate, total_degree, leading_form
 
 # numpy is imported inside the functions that use it, so that importing
@@ -45,21 +47,32 @@ class EvaluationOverflowError(ArithmeticError):
 
 
 # Work caps, checked before any work: a distance report costs about
-# 30 ms a step, far sampling about 50 us a trial.  Far sampling's tables
-# take about 110 bytes an entry, trials times the larger of degree + 1
-# and the number of terms, so its entry cap is about 1.1 GB.
+# 30 ms a step, far sampling about 50 us a trial.  Far sampling counts
+# trials times the larger of the number of terms and degree times
+# variables, which bounds each of its tables (see _far_points).  Its peak
+# memory measured 39 to 95 bytes an entry (Python 3.11, numpy 2.4), so
+# the entry cap is about 1 GB.
 _MAX_STEPS = 100
 _MAX_TRIALS = 100_000
 _MAX_TABLE_ENTRIES = 10_000_000
 _PLATEAU_SPAN = 10.0  # least t_last / t_first over a plateau's three steps (100 by default)
 
 
-class TSchedule:
+class _Schedule(NamedTuple):
+    t0: float
+    factor: float
+    steps: int
+
+    def values(self) -> list[float]:
+        return [self.t0 * self.factor ** k for k in range(self.steps)]
+
+
+class TSchedule(_Schedule):
     """Geometric schedule t_k = t0 * factor**k, k < steps <= _MAX_STEPS, every t_k finite."""
 
-    __slots__ = ("t0", "factor", "steps")
+    __slots__ = ()
 
-    def __init__(self, t0: float = 10.0, factor: float = 10.0, steps: int = 5):
+    def __new__(cls, t0: float = 10.0, factor: float = 10.0, steps: int = 5):
         if not (0 < t0 < math.inf and 1 < factor < math.inf and steps >= 1):
             raise ValueError("need finite t0 > 0, finite factor > 1, steps >= 1")
         if steps > _MAX_STEPS:
@@ -71,12 +84,7 @@ class TSchedule:
         if not finite:
             raise ValueError(f"the schedule leaves double precision: "
                              f"t0 * factor**{steps - 1} overflows")
-        self.t0 = t0
-        self.factor = factor
-        self.steps = steps
-
-    def values(self) -> list[float]:
-        return [self.t0 * self.factor ** k for k in range(self.steps)]
+        return super().__new__(cls, t0, factor, steps)
 
 
 class VerificationReport(NamedTuple):
@@ -129,7 +137,7 @@ def _require_positive(what: str, value: float) -> None:
 
 
 def _require_seed(seed: int) -> None:
-    """A negative seed names no generator; refused before numpy loads."""
+    """A negative seed names no generator; refused, as every input is, before numpy loads."""
     if seed < 0:
         raise ValueError(f"the seed must be a nonnegative integer, not {seed}")
 
@@ -342,15 +350,16 @@ def roots_univariate(coeffs: Sequence[complex]) -> RootsResult:
     the residuals |p(z_i)| of the monic polynomial let the caller judge
     them.
     """
-    import numpy as np
-    a = np.array([complex(c) for c in coeffs])
-    if len(a) < 2:
+    coeffs = [complex(c) for c in coeffs]
+    if len(coeffs) < 2:
         raise ValueError("degree must be at least 1")
-    if not np.isfinite(a).all():
+    if not all(map(cmath.isfinite, coeffs)):
         raise ValueError("coefficients must be finite")
-    if abs(a[-1]) <= 1e-30 * np.abs(a).max():
+    sizes = [math.hypot(c.real, c.imag) for c in coeffs]  # abs() would raise past 1.8e308
+    if sizes[-1] <= 1e-30 * max(sizes):
         raise ValueError("degenerate leading coefficient")
-    a = (a / a[-1])[None, :]
+    import numpy as np
+    a = (np.array(coeffs) / coeffs[-1])[None, :]
     z, converged, sweeps = _deflated(a, int((a[0] != 0).argmax()))  # a[0, -1] = 1
     with np.errstate(all="ignore"):
         residuals = np.abs(_horner(a, z)[0][0])
@@ -431,14 +440,19 @@ def _far_points(f: Polynomial, radius: float, trials: int,
                 seed: int) -> tuple[np.ndarray, int]:
     """The retained far directions as rows of an array, and the skipped trials.
 
-    See ``sample_far_directions``.  Every input is checked here, the seed
-    before numpy loads.  The roots go into one table, trials by roots,
-    NaN past each trial's degree, which reads the kept points in the
-    order of trials, then roots.  The angles come from ``_angle_table``'s
-    cache (at most 8 tables of at most 4,096 angles, 32 KiB each).
+    See ``sample_far_directions``.  Every input is checked here, before
+    numpy loads.  One rule bounds the size: trials times the larger of
+    the number of terms and degree d times variables n, at most
+    _MAX_TABLE_ENTRIES.  It covers the angles (trials x n), the term
+    phases (trials x terms), the coefficients and roots (trials x
+    (d + 1)) and the kept directions (at most trials x d rows of n), and
+    it keeps every exponent below the cap.  The roots go into one table,
+    trials by roots, NaN past each trial's degree, which reads the kept
+    points in the order of trials, then roots.  The angles come from
+    ``_angle_table``'s cache (at most 8 tables of at most 4,096 angles,
+    32 KiB each).
     """
     _require_seed(seed)
-    import numpy as np
     n = f.context.n
     if n < 2:
         raise ValueError("sampling needs at least two variables")
@@ -450,21 +464,19 @@ def _far_points(f: Polynomial, radius: float, trials: int,
         raise ValueError(f"far sampling needs at least 1 and at most {_MAX_TRIALS:,} trials, "
                          f"not {trials:,}")
     d = total_degree(f)
-    try:
-        exps = np.array(list(f.terms), dtype=np.int64)
-    except OverflowError:
-        raise ValueError("far sampling needs exponents below 2**63") from None
-    entries = trials * max(d + 1, len(f.terms))
+    entries = trials * max(len(f.terms), d * n)
     if entries > _MAX_TABLE_ENTRIES:
         raise ValueError(f"far sampling needs at most {_MAX_TABLE_ENTRIES:,} table entries "
-                         f"(trials times the larger of degree + 1 and terms), not {entries:,}")
+                         f"(trials * max(terms, degree * variables)), not {entries:,}")
     # f compiled once in scaled form: term t contributes
     # scaled[t] * exp(i * sum_k e_tk * theta_k) * w**e_tj
     # R >= 1 makes every factor R**(|e| - d) at most 1.
-    scaled = np.array([_coefficient(c) * radius ** (sum(e) - d)
-                       for e, c in f.terms.items()])
-    if not np.isfinite(scaled).all():
+    scaled = [_coefficient(c) * radius ** (sum(e) - d) for e, c in f.terms.items()]
+    if not all(map(cmath.isfinite, scaled)):
         raise ValueError(f"coefficients scaled to radius {radius:g} leave double precision")
+    import numpy as np
+    exps = np.array(list(f.terms))  # every exponent is at most d < _MAX_TABLE_ENTRIES
+    scaled = np.array(scaled)
 
     theta = _table(_angle_table, seed, trials, n, entries=trials * n)
     rows = np.arange(trials)
@@ -565,6 +577,23 @@ def far_sample_report(f: Polynomial, radius: float = 1e6, trials: int = 100,
                               radius=radius, trials=trials)
 
 
+def _nonzero(F: Sequence[Polynomial]) -> list[Polynomial]:
+    gens = [g for g in F if not g.is_zero()]
+    if not gens:
+        raise ValueError("generators must not all be zero")
+    return gens
+
+
+def _direction(gens: Sequence[Polynomial], v: Sequence[complex]) -> ComplexPoint:
+    """v as complex numbers, checked against the one ring of the nonzero ``gens``."""
+    n = _shared_context(gens).n
+    if len(v) != n:
+        raise ValueError(f"direction has {len(v)} entries, expected {n}")
+    if all(z == 0 for z in v):
+        raise ValueError("direction must be nonzero")
+    return tuple(complex(z) for z in v)
+
+
 def _fit_decay_exponent(samples: Sequence[tuple[float, float | None]]) -> float | None:
     """Least-squares slope of log(value) against log(t) over positive values."""
     pts = [(math.log(t), math.log(v)) for t, v in samples if v is not None and v > 0]
@@ -602,15 +631,14 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
     gens = list(F)
     if any(g.is_zero() for g in gens) or not gens:
         raise ValueError("generators must be nonzero")
-    if all(z == 0 for z in v):
-        raise ValueError("direction must be nonzero")
+    v = _direction(gens, v)
     degrees = [total_degree(g) for g in gens]
-    evaluate = _evaluator([_compile(g) for g in gens], gens[0].context.n)
+    evaluate = _evaluator([_compile(g) for g in gens], len(v))
     samples: list[tuple[float, float | None]] = []
     overflowed = []
     empty = 0 in degrees
     for t in sched.values():
-        point = [t * complex(z) for z in v]
+        point = [t * z for z in v]
         try:
             r = None if empty else max(abs(g) ** (1.0 / d)
                                        for g, d in zip(evaluate(*point), degrees)) / t
@@ -643,7 +671,7 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
         kind="ratio", samples=tuple(samples),
         fitted_decay_exponent=_fit_decay_exponent(samples),
         verdict=verdict, diagnostics=diagnostics, seed=None,
-        schedule=sched, direction=tuple(complex(z) for z in v))
+        schedule=sched, direction=v)
 
 
 # -- distance estimation ------------------------------------------------
@@ -723,14 +751,12 @@ def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
     """
     _require_positive("residual tolerance", residual_tol)
     _require_seed(seed)
-    import numpy as np
-    gens = [g for g in F if not g.is_zero()]
-    if not gens:
-        raise ValueError("generators must not all be zero")
-    n = gens[0].context.n
+    gens = _nonzero(F)
+    n = _shared_context(gens).n
     x0 = tuple(complex(z) for z in x0)
     if len(x0) != n:
         raise ValueError(f"start point has {len(x0)} entries, expected {n}")
+    import numpy as np
     degrees = [total_degree(g) for g in gens]
     partials = _evaluator([_compile(differentiate(g, j)) for g in gens for j in range(n)], n,
                           jacobian=True)
@@ -945,9 +971,7 @@ def distance_ratio_report(F: Sequence[Polynomial], v: Sequence[complex], sched: 
     _require_fraction("pass decay", pass_decay)
     _require_positive("plateau tolerance", plateau_tol)
     _require_seed(seed)
-    if all(z == 0 for z in v):
-        raise ValueError("direction must be nonzero")
-    vv = tuple(complex(z) for z in v)
+    vv = _direction(_nonzero(F), v)
     empty = any(g.is_constant() and not g.is_zero() for g in F)
     samples: list[tuple[float, float | None]] = []
     failed_steps = []

@@ -319,8 +319,9 @@ def test_verify_sample_radius_below_one_is_one_line(capsys):
 
 
 def test_verify_sample_exponent_beyond_int64_is_one_line(capsys, tmp_path):
-    # The parser's exponent cap refuses it before far sampling runs; far
-    # sampling's own guard is tested in test_numeric.
+    # The parser's exponent cap refuses it before far sampling runs; for
+    # library callers far sampling's table-size rule bounds the exponents
+    # (test_sampling_rejects_bad_inputs).
     path = ideal_file(tmp_path, "vars x y\npoly x^99999999999999999999 - y\n")
     code, out, err = run(capsys, ["verify", "sample", path, "--trials", "3"])
     assert code == 1
@@ -491,11 +492,32 @@ def test_exact_commands_do_not_import_numpy():
         f"args = ['verify', 'ratio', {FIVELINES!r}, '--direction', '0,1,1']\n"
         "assert tcone.cli.main(args) == 0, args\n"
         "assert not (found := loaded('numpy', 'click', 'dataclasses')), found\n"
-        # A negative seed is refused before numpy loads.
+        # Every refusal comes before numpy loads: a negative seed, a bad
+        # radius or trial count, a table past its cap.
         f"for args in (['verify', 'sample', {CUSP!r}, '--seed', '-1'],\n"
-        f"             ['verify', 'distance', {CUSP!r}, '--direction', '1,0', '--seed', '-1']):\n"
+        f"             ['verify', 'distance', {CUSP!r}, '--direction', '1,0', '--seed', '-1'],\n"
+        f"             ['verify', 'sample', {CUSP!r}, '--radius', '0.5'],\n"
+        f"             ['verify', 'sample', {CUSP!r}, '--trials', '0'],\n"
+        f"             ['verify', 'sample', {str(DATA / 'degree1000.ideal')!r},\n"
+        "              '--trials', '100000']):\n"
         "    assert tcone.cli.main(args) == 1, args\n"
-        "    assert not (found := loaded('numpy')), (args, found)\n")
+        "    assert not (found := loaded('numpy')), (args, found)\n"
+        # So do the library's refusals.
+        "from tcone.numeric import estimate_distance_upper, roots_univariate\n"
+        "from tcone.polyring import VariableContext, variables\n"
+        "x, y = variables(VariableContext(('x', 'y')))\n"
+        "for call in (lambda: estimate_distance_upper([x - x], (1, 0)),\n"
+        "             lambda: estimate_distance_upper([x], (1, 0, 0)),\n"
+        "             lambda: roots_univariate([5.0]),\n"
+        "             lambda: roots_univariate([float('nan'), 1.0]),\n"
+        "             lambda: roots_univariate([1.0, 1.0, 1e-35])):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise AssertionError('not refused')\n"
+        "    assert not (found := loaded('numpy')), found\n")
     src = str(Path(tcone.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,

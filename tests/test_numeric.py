@@ -452,8 +452,9 @@ def test_sampling_rejects_bad_inputs(xy):
     u, = variables(ctx1)
     with pytest.raises(ValueError):
         sample_far_directions(u, 1e6, 5, seed=0)
-    # The parser caps exponents far lower; this guard serves library callers.
-    with pytest.raises(ValueError, match=r"exponents below 2\*\*63"):
+    # The parser caps exponents far lower; the table-size rule bounds them
+    # for library callers.
+    with pytest.raises(ValueError, match="table entries .*, not 600,000,000,000,000,000,000$"):
         far_sample_report(x**(10**20) - y, radius=1e6, trials=3)
 
 
@@ -713,9 +714,13 @@ def test_schedule_steps_and_sampling_trials_are_capped(xy, monkeypatch):
 
 
 def test_far_sampling_caps_its_table_entries(xy, monkeypatch):
-    """Trials times the larger of degree + 1 and the number of terms is
-    checked before any table is drawn: x^(10^12) - y would ask for 43.7 TiB."""
+    """Trials times the larger of the number of terms and degree times
+    variables is checked before any table is drawn: x^(10^12) - y would
+    ask for terabytes, and a degree-d trial keeps up to d directions of
+    one entry per variable."""
     _, x, y = xy
+    six = variables(VariableContext(tuple(f"u{i}" for i in range(6))))
+    u, v, w = variables(VariableContext(("u", "v", "w")))
 
     def drawn(*args):
         raise AssertionError("angle table drawn before the table size was checked")
@@ -723,15 +728,20 @@ def test_far_sampling_caps_its_table_entries(xy, monkeypatch):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(numeric, "_angle_table", drawn)
         with pytest.raises(ValueError, match="^far sampling needs at most 10,000,000 table "
-                                             r"entries \(.*\), not 3,000,000,000,003$"):
+                                             r"entries \(.*\), not 6,000,000,000,000$"):
             far_sample_report(x**(10**12) - y, trials=3)
         monkeypatch.setattr(numeric, "_MAX_TABLE_ENTRIES", 12)
-        # x^3 - y + 1 counts degree + 1 = 4 entries a trial, x + y + 1 its 3 terms.
-        for f, trials, entries in ((x**3 - y + 1, 4, 16), (x + y + 1, 5, 15)):
+        # x^3 - y + 1 counts degree times variables, 3 * 2 = 6 entries a
+        # trial, and x + y + 1 its 3 terms.  u0 - u1 counts its 6 variables,
+        # and u^2 - v + w 2 * 3 = 6, where degree + 1 and the terms count 3.
+        for f, trials, entries in ((x**3 - y + 1, 4, 24), (x + y + 1, 5, 15),
+                                   (six[0] - six[1], 3, 18), (u**2 - v + w, 3, 18)):
             with pytest.raises(ValueError, match=f"not {entries}$"):
                 sample_far_directions(f, 1e6, trials, 7)
-    assert far_sample_report(x**3 - y + 1, trials=3).trials == 3  # 12 entries, at the cap
+    assert far_sample_report(x**3 - y + 1, trials=2).trials == 2  # 12 entries, at the cap
     assert far_sample_report(x + y + 1, trials=4).trials == 4
+    assert far_sample_report(six[0] - six[1], trials=2).trials == 2
+    assert far_sample_report(u**2 - v + w, trials=2).trials == 2
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, 1.5, math.inf, math.nan])
@@ -931,6 +941,46 @@ def test_report_input_errors(xy):
         distance_ratio_report([x], (0, 0), TSchedule())
     with pytest.raises(ValueError, match="^unknown variable 'z'$"):
         substitute_partial(x * y, {"x": 1}, "z")
+
+
+_X, _Y = variables(VariableContext(("x", "y")))
+_A, _B, _C = variables(VariableContext(("a", "b", "c")))
+_MIXED = "generators from different contexts"
+_SHORT = "direction has 1 entries, expected 2"
+
+
+@pytest.mark.parametrize("function,gens,v,message", [
+    # Read in the ring of a, b, c, x - 1 would be a - 1.
+    (loj_ratio_schedule, [_A * _B * _C - 1, _X - 1], (1, 1, 1), _MIXED),
+    (loj_ratio_schedule, [_X * _Y - 1, _A * _B * _C - 1], (1, 1), _MIXED),
+    (distance_ratio_report, [_X * _Y - 1, _A * _B * _C - 1], (1, 1), _MIXED),
+    (distance_ratio_report, [_A * _B * _C - 1, _X - 1], (1, 1, 1), _MIXED),
+    (estimate_distance_upper, [_X * _Y - 1, _A * _B * _C - 1], (1, 1), _MIXED),
+    (estimate_distance_upper, [_A * _B * _C - 1, _X - 1], (1, 1, 1), _MIXED),
+    (loj_ratio_schedule, [_X * _Y - 1], (1,), _SHORT),
+    (distance_ratio_report, [_X * _Y - 1], (1,), _SHORT),
+    # A constant generator runs no estimate, so the direction is checked up front.
+    (distance_ratio_report, [_X - _X + 1], (1,), _SHORT),
+], ids=["ratio-mixed-last", "ratio-mixed-first", "distance-mixed-first",
+        "distance-mixed-last", "estimate-mixed-first", "estimate-mixed-last",
+        "ratio-short-direction", "distance-short-direction", "distance-empty-short"])
+def test_ray_reports_check_one_ring_and_the_direction(function, gens, v, message):
+    schedule = () if function is estimate_distance_upper else (TSchedule(),)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        function(gens, v, *schedule)
+
+
+def test_schedules_and_reports_are_values(five_lines):
+    ctx, f1, f2 = five_lines
+    assert TSchedule() == TSchedule(10.0, 10.0, 5)
+    assert TSchedule(10, 2, 3) != TSchedule(10, 2, 4)
+    for report in (loj_ratio_schedule, distance_ratio_report):
+        assert report([f1, f2], (0, 0, 1), TSchedule()) == report([f1, f2], (0, 0, 1),
+                                                                  TSchedule())
+    sched = TSchedule()
+    with pytest.raises(AttributeError):
+        sched.t0 = 1.0
+    assert sched.values() == [10.0, 100.0, 1000.0, 10000.0, 100000.0]
 
 
 def test_levenberg_run_gives_up_at_its_iteration_cap(xy, monkeypatch):
