@@ -71,7 +71,7 @@ def _ideal_file(path: str) -> str:
 
 
 def _load_ideal(path: str):
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # skips a leading byte-order mark
         return parse_ideal(fh.read(), source=path)
 
 

@@ -534,17 +534,32 @@ def sample_far_directions(f: Polynomial, radius: float, trials: int,
 
 def _evaluate_rows(compiled: Compiled, points: np.ndarray) -> np.ndarray:
     """A compiled polynomial at every row of ``points``, term by term, with
-    each power points[:, i] ** e taken once."""
+    each power points[:, i] ** e taken once per block of rows.
+
+    The rows are split evenly into the fewest blocks whose cached powers,
+    a value per row for each distinct (i, e), hold at most
+    _MAX_TABLE_ENTRIES entries.  A row's value does not depend on its
+    block, except in a block of one row: numpy multiplies one-element
+    arrays in another inner loop, whose bits can differ (numpy 2.4,
+    x86-64).  An even split makes such a block only where a block holds
+    fewer than four rows, and every golden and benchmark input fits in
+    one block.
+    """
     import numpy as np
-    powers = {}
+    pairs = len({f for _, factors in compiled for f in factors})
+    blocks = -(-len(points) // max(_MAX_TABLE_ENTRIES // max(pairs, 1), 1))
     total = np.zeros(len(points), dtype=complex)
-    for coeff, factors in compiled:
-        v = np.full(len(points), coeff)
-        for i, e in factors:
-            if (i, e) not in powers:
-                powers[i, e] = points[:, i] ** e
-            v *= powers[i, e]
-        total += v
+    for k in range(blocks):
+        rows = slice(len(points) * k // blocks, len(points) * (k + 1) // blocks)
+        block, out = points[rows], total[rows]  # out is a view: the sums land in total
+        powers = {}
+        for coeff, factors in compiled:
+            v = np.full(len(block), coeff)
+            for i, e in factors:
+                if (i, e) not in powers:
+                    powers[i, e] = block[:, i] ** e
+                v *= powers[i, e]
+            out += v
     return total
 
 

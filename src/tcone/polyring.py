@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add as _add, neg as _neg
+from operator import add as _add, index as _index, neg as _neg
 from typing import Iterable, Mapping, NamedTuple
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -139,7 +139,10 @@ class Polynomial:
                  terms: Mapping[tuple[int, ...], Fraction | int] | None = None):
         clean: dict[tuple[int, ...], Fraction] = {}
         for e, c in (terms or {}).items():
-            e = tuple(map(int, e))
+            try:
+                e = tuple(map(_index, e))
+            except TypeError:
+                raise ValueError(f"non-integer exponent in {e!r}") from None
             if len(e) != context.n:
                 raise ContextMismatchError(
                     f"monomial arity {len(e)} in {context.n}-variable context")
@@ -199,7 +202,9 @@ class Polynomial:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return other if other is NotImplemented else self + (-other)
+        if other is NotImplemented:
+            return other
+        return _raw(self.context, _sub_into(dict(self.terms), other.terms))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -244,16 +249,28 @@ def _raw(context: VariableContext, terms: dict[tuple[int, ...], Fraction]) -> Po
 # -- term arithmetic ---------------------------------------------------
 # The loops behind Polynomial's operators, on plain {exponent tuple:
 # coefficient} dicts whose coefficients are ints or Fractions; the parser
-# computes on them too.  Each returns a new dict, except _add_into, which
-# adds into its first argument.  Insertion order is part of the result
-# (verify sample sums the parsed polynomial's terms in it): a sum keeps
-# its first operand's terms in place, appends the second's new monomials
-# and drops a monomial whose coefficient cancels.
+# computes on them too.  Each returns a new dict, except _add_into and
+# _sub_into, which add into and subtract from their first argument.
+# Insertion order is part of the result (verify sample sums the parsed
+# polynomial's terms in it): a sum keeps its first operand's terms in
+# place, appends the second's new monomials and drops a monomial whose
+# coefficient cancels.
 
 
 def _add_into(res: dict, b: dict) -> dict:
     for m, c in b.items():
         s = res.get(m, 0) + c
+        if s:
+            res[m] = s
+        else:
+            res.pop(m, None)
+    return res
+
+
+def _sub_into(res: dict, b: dict) -> dict:
+    """_add_into(res, _neg_terms(b)), without the negated copy."""
+    for m, c in b.items():
+        s = res.get(m, 0) - c
         if s:
             res[m] = s
         else:
@@ -291,6 +308,12 @@ def _pow_terms(a: dict, exponent: int, one: dict, mul=_mul_terms) -> dict:
             base = mul(base, base)
         exponent >>= 1
     return result
+
+
+def _pow_products(exponent: int) -> int:
+    """The number of products _pow_terms runs for this exponent: one for
+    each set bit and one squaring for each bit after the first."""
+    return exponent.bit_length() - 1 + exponent.bit_count() if exponent else 0
 
 
 # -- constructors ------------------------------------------------------

@@ -47,9 +47,10 @@ from .polyring import (
     VariableContext,
     _add_into,
     _mul_terms,
-    _neg_terms,
+    _pow_products,
     _pow_terms,
     _raw,
+    _sub_into,
 )
 
 if TYPE_CHECKING:  # imported where needed: gb, cone and member never need numeric
@@ -94,8 +95,10 @@ _MAX_EXPONENT = 1_000_000
 _MAX_DEGREE = 10_000
 _MAX_WORK = 250_000
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
-                       r"|(?P<op>[-+*/^()])|(?P<bad>\S))")
+# One token: a natural number, an identifier, an operator, or any other
+# nonblank character, which starts no token.  A scan skips the blanks
+# between tokens, one character at a time, since no token starts with one.
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z][A-Za-z0-9_]*|[-+*/^()]|\S")
 
 _Token = tuple[str, str, int]  # (kind, value, column)
 
@@ -104,32 +107,38 @@ def _tokens(raw: str, start: int, lineno: int, source: str) -> list[_Token]:
     """The tokens of raw[start:], with 1-based columns in the raw line.
 
     The kind is 'nat', 'ident' or, for an operator, the operator itself.
-    One scan reads the line up to its last nonblank character, so every
-    match starts where the last one ended; the first character that
-    starts no token is an error at its column.  A last ('end', '',
-    column) token stands just past the line's last nonblank character.
+    The first character that starts no token is an error at its column.
+    A last ('end', '', column) token stands just past the line's last
+    nonblank character.
     """
-    stop = len(raw.rstrip())  # re's \s and str.isspace agree
     out = []
-    for m in _TOKEN_RE.finditer(raw, start, stop):
-        kind = m.lastgroup
-        value = m[kind]
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", lineno, m.start(kind) + 1,
-                             source)
-        out.append((value if kind == "op" else kind, value, m.start(kind) + 1))
-    out.append(("end", "", stop + 1))
+    for m in _TOKEN_RE.finditer(raw, start):
+        value = m[0]
+        column = m.start() + 1
+        if value.isdecimal():  # re's \d and str.isdecimal agree
+            kind = "nat"
+        elif value[0].isascii() and value[0].isalpha():
+            kind = "ident"
+        elif value in "-+*/^()":  # value is one character, as are all other tokens
+            kind = value
+        else:
+            raise ParseError(f"unexpected character {value!r}", lineno, column, source)
+        out.append((kind, value, column))
+    out.append(("end", "", len(raw.rstrip()) + 1))  # rstrip strips what \S skips
     return out
 
 
 def _bits(c: int | Fraction) -> int:
     """The bit lengths of c's numerator and denominator, summed."""
+    if type(c) is int:
+        return c.bit_length() + 1  # the denominator 1 has one bit
     return c.numerator.bit_length() + c.denominator.bit_length()
 
 
-def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
+def _parse_poly(raw: str, start: int, context: VariableContext, lineno: int,
                 source: str) -> Polynomial:
-    """The polynomial of one poly-line's tokens, by recursive descent.
+    """The polynomial of the poly-line raw, whose expression starts at
+    raw[start], by recursive descent.
 
     A product of plain factors (a number, ``n/d``, a variable or a power
     of a variable) is formed as one term, from a coefficient and an
@@ -139,34 +148,44 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
     stands in.  An integer literal stays an int and only ``a/b`` is a
     Fraction, so the one Polynomial built at the end equals, term for
     term and in dict order, what Polynomial arithmetic on the same text
-    gives.  No value is held twice, so a sum is taken in place.  Each
-    product, power step, sum and negation is charged before it runs (see
-    _MAX_WORK), at the same token on both routes: cost prices every
-    product, and a variable's power runs the dict route's binary powering
-    on its exponent.
+    gives.  No value is held twice, so each term is added into the sum,
+    or subtracted from it, in place, and a leading minus negates in
+    place.  Each product, power, sum and negation is charged before it
+    runs (see _MAX_WORK), at the same token on both routes: cost prices
+    every product, and a variable's power ``x^k`` pays at its '^' for
+    the _pow_products(k) products of the dict route's binary powering.
+
+    The tokens are the strings _TOKEN_RE reads, without columns.  An
+    error looks its column up in _tokens, which raises first if a
+    character on the line starts no token, as if the line had been
+    tokenized before it was parsed.
     """
-    ahead = toks[::-1]  # a stack: ahead[-1] is the next token, 'end' the last
+    toks = _TOKEN_RE.findall(raw, start)
+    toks.append("")  # the end of the line
+    pos = 0  # the index of the next token
     one = (0,) * context.n  # the exponent tuple of a constant
     index = {name: i for i, name in enumerate(context.names)}
     pair = -(-context.n // 8)  # the units of work of one pair of terms
     spent = 0  # the work charged on this line so far
 
-    def fail(message: str, tok: _Token):
-        raise ParseError(message, lineno, tok[2], source)
+    def fail(message: str, at: int):
+        raise ParseError(message, lineno, _tokens(raw, start, lineno, source)[at][2], source)
 
-    def number(tok: _Token) -> int:
+    def number(at: int) -> int:
         try:
-            return int(tok[1])
+            return int(toks[at])
         except ValueError:  # beyond the interpreter's int-string digit limit
-            fail(f"number longer than {sys.get_int_max_str_digits()} digits", tok)
+            fail(f"number longer than {sys.get_int_max_str_digits()} digits", at)
 
-    def rational(tok: _Token) -> int | Fraction:
-        """The number that starts at tok, a nat already taken from ahead."""
-        c = number(tok)
-        if ahead[-1][0] == "/":
-            ahead.pop()
-            den = ahead.pop()
-            if den[0] != "nat":
+    def rational() -> int | Fraction:
+        """The number that starts at the next token, a nat."""
+        nonlocal pos
+        c = number(pos)
+        pos += 1
+        if toks[pos] == "/":
+            den = pos + 1
+            pos += 2
+            if not toks[den].isdecimal():
                 fail("'/' requires a natural-number denominator", den)
             d = number(den)
             if d == 0:
@@ -175,31 +194,26 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
         return c
 
     def exponent() -> int:
-        """The natural number after a '^' already taken from ahead."""
-        tok = ahead.pop()
-        if tok[0] != "nat":
-            fail("'^' requires a natural-number exponent", tok)
-        k = number(tok)
+        """The natural number after a '^' already taken."""
+        nonlocal pos
+        at = pos
+        pos += 1
+        if not toks[at].isdecimal():
+            fail("'^' requires a natural-number exponent", at)
+        k = number(at)
         if k > _MAX_EXPONENT:
-            fail(f"exponent above the cap of {_MAX_EXPONENT}", tok)
+            fail(f"exponent above the cap of {_MAX_EXPONENT}", at)
         return k
 
-    def variable(tok: _Token) -> int:
-        """The index of the variable tok names."""
-        i = index.get(tok[1])
-        if i is None:
-            fail(f"unknown identifier \"{tok[1]}\"", tok)
-        return i
-
-    def check_degree(degree: int, tok: _Token):
+    def check_degree(degree: int, at: int):
         if degree > _MAX_DEGREE:
-            fail(f"degree {degree} above the cap of {_MAX_DEGREE}", tok)
+            fail(f"degree {degree} above the cap of {_MAX_DEGREE}", at)
 
-    def charge(work: int, tok: _Token):
+    def charge(work: int, at: int):
         nonlocal spent
         spent += work
         if spent > _MAX_WORK:
-            fail(f"more than {_MAX_WORK} units of work on one line", tok)
+            fail(f"more than {_MAX_WORK} units of work on one line", at)
 
     def cost(terms_a: int, bits_a: int, terms_b: int, bits_b: int) -> int:
         """The units of work of multiplying a value of terms_a terms and
@@ -208,31 +222,32 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
 
     unit = cost(1, _bits(1), 1, _bits(1))  # x^a * x^b: one pair, coefficients 1
 
-    def product(p: dict, q: dict, tok: _Token) -> dict:
+    def product(p: dict, q: dict, at: int) -> dict:
         charge(cost(len(p), sum(map(_bits, p.values())),
-                    len(q), sum(map(_bits, q.values()))), tok)
+                    len(q), sum(map(_bits, q.values()))), at)
         return _mul_terms(p, q)
 
-    def power_step(a: int, b: int, caret: _Token) -> int:
-        """The exponent of x^a * x^b, charged as product charges it."""
-        charge(unit, caret)
-        return a + b
-
-    def times(p: dict, q: dict, star: _Token) -> dict:
+    def times(p: dict, q: dict, star: int) -> dict:
         check_degree(max(map(sum, p), default=0) + max(map(sum, q), default=0), star)
         return product(p, q, star)
 
     def expr(depth: int) -> dict:
-        minus = ahead.pop() if ahead[-1][0] == "-" else None
+        nonlocal pos
+        minus = None
+        if toks[pos] == "-":
+            minus = pos
+            pos += 1
         p = term(depth)
-        if minus:
+        if minus is not None:
             charge(len(p), minus)
-            p = _neg_terms(p)
-        while ahead[-1][0] in ("+", "-"):
-            op = ahead.pop()
+            for m, c in p.items():
+                p[m] = -c
+        while toks[pos] in ("+", "-"):
+            op = pos
+            pos += 1
             rhs = term(depth)
             charge(len(rhs), op)
-            p = _add_into(p, rhs if op[0] == "+" else _neg_terms(rhs))
+            (_add_into if toks[op] == "+" else _sub_into)(p, rhs)
         return p
 
     def term(depth: int) -> dict:
@@ -240,28 +255,29 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
         is held as a coefficient c and an exponent list e, with c = 0 for
         the empty dict, of degree 0; the first other factor moves the rest
         of the term to the dict route."""
+        nonlocal pos
         c, e, degree = 1, list(one), 0  # the product of the factors so far
         star = None  # the '*' before the factor being read
         while True:
-            tok = ahead[-1]
-            if tok[0] == "ident":
-                i = variable(ahead.pop())
+            tok = toks[pos]
+            i = index.get(tok)
+            if i is not None:
+                pos += 1
                 q, k = 1, 1
-                if ahead[-1][0] == "^":
-                    caret = ahead.pop()
+                if toks[pos] == "^":
+                    caret = pos
+                    pos += 1
                     k = exponent()
-                    if k != 1:  # x^1 is x, as on the dict route
+                    if k > 1:  # x^0 is 1 and x^1 is x, with no product
                         check_degree(k, caret)
-                        # the dict route's binary powering, run on the exponent
-                        k = _pow_terms(1, k, 0, lambda a, b: power_step(a, b, caret))
-            elif tok[0] == "nat":
-                ahead.pop()
-                q, k = rational(tok), 0
-                if ahead[-1][0] == "^":
+                        charge(unit * _pow_products(k), caret)
+            elif tok.isdecimal():
+                q, k = rational(), 0
+                if toks[pos] == "^":
                     return finish(c, e, star, power({one: q} if q else {}), depth)
             else:
                 return finish(c, e, star, factor(depth), depth)
-            if star:
+            if star is not None:
                 check_degree((degree if c else 0) + k, star)
                 if c and q:
                     charge(cost(1, _bits(c), 1, _bits(q)), star)
@@ -269,17 +285,20 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
             if k:
                 e[i] += k
                 degree += k
-            if ahead[-1][0] != "*":
+            if toks[pos] != "*":
                 return {tuple(e): c} if c else {}
-            star = ahead.pop()
+            star = pos
+            pos += 1
 
-    def finish(c: int | Fraction, e: list[int], star: _Token | None, q: dict,
+    def finish(c: int | Fraction, e: list[int], star: int | None, q: dict,
                depth: int) -> dict:
         """The rest of a term on the dict route, from the product c*x^e of
         its plain factors before star and the factor q after it."""
+        nonlocal pos
         p = q if star is None else times({tuple(e): c} if c else {}, q, star)
-        while ahead[-1][0] == "*":
-            star = ahead.pop()
+        while toks[pos] == "*":
+            star = pos
+            pos += 1
             p = times(p, factor(depth), star)
         return p
 
@@ -287,8 +306,10 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
         return power(base(depth))
 
     def power(p: dict) -> dict:
-        if ahead[-1][0] == "^":
-            caret = ahead.pop()
+        nonlocal pos
+        if toks[pos] == "^":
+            caret = pos
+            pos += 1
             k = exponent()
             if k != 1:  # p^1 is p, term for term and in order
                 check_degree(k * max(map(sum, p), default=0), caret)
@@ -296,27 +317,31 @@ def _parse_poly(toks: list[_Token], context: VariableContext, lineno: int,
         return p
 
     def base(depth: int) -> dict:
-        tok = ahead.pop()
-        kind, value, _ = tok
-        if kind == "nat":
-            c = rational(tok)
+        nonlocal pos
+        tok = toks[pos]
+        if tok.isdecimal():
+            c = rational()
             return {one: c} if c else {}
-        if kind == "ident":
-            i = variable(tok)
+        at = pos
+        pos += 1
+        i = index.get(tok)
+        if i is not None:
             return {one[:i] + (1,) + one[i + 1:]: 1}
-        if kind == "(":
+        if tok == "(":
             if depth == _MAX_NESTING:
-                fail(f"parentheses nested deeper than {_MAX_NESTING}", tok)
+                fail(f"parentheses nested deeper than {_MAX_NESTING}", at)
             p = expr(depth + 1)
-            if ahead[-1][0] != ")":
-                fail("expected ')'", ahead[-1])
-            ahead.pop()
+            if toks[pos] != ")":
+                fail("expected ')'", pos)
+            pos += 1
             return p
-        fail("unexpected end of expression" if kind == "end" else f"unexpected {value!r}", tok)
+        if tok[:1].isalpha():  # an identifier; fail reports any other letter first
+            fail(f"unknown identifier \"{tok}\"", at)
+        fail(f"unexpected {tok!r}" if tok else "unexpected end of expression", at)
 
     p = expr(0)
-    if ahead[-1][0] != "end":
-        fail(f"unexpected {ahead[-1][1]!r}", ahead[-1])
+    if toks[pos]:
+        fail(f"unexpected {toks[pos]!r}", pos)
     return _raw(context, {m: Fraction(c) for m, c in p.items()})
 
 
@@ -350,8 +375,7 @@ def parse_ideal(text: str, source: str = "<input>") -> IdealFile:
         elif keyword == "poly":
             if context is None:
                 raise ParseError("poly-line before vars-line", lineno, 1, source)
-            polys.append(_parse_poly(_tokens(raw, end, lineno, source),
-                                     context, lineno, source))
+            polys.append(_parse_poly(raw, end, context, lineno, source))
             poly_lines.append(lineno)
         else:
             raise ParseError(f"expected 'vars' or 'poly', got {keyword!r}",

@@ -66,6 +66,12 @@ def test_gb_renders_coefficients_past_the_digit_limit(capsys, tmp_path):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_gb_reads_a_file_that_starts_with_a_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "bom.ideal"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(FIVELINES).read_bytes())
+    assert run(capsys, ["gb", str(path)]) == run(capsys, ["gb", FIVELINES])
+
+
 @pytest.mark.parametrize("command", ["gb", "cone", "member"])
 @pytest.mark.parametrize("cap, value, message", [
     ("_MAX_BASIS", 2, "error: Groebner basis passed 2 elements"),

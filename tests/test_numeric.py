@@ -27,6 +27,7 @@ from tcone.polyring import (
     VariableContext,
     differentiate,
     evaluate_exact,
+    leading_form,
     total_degree,
     variables,
 )
@@ -742,6 +743,43 @@ def test_far_sampling_caps_its_table_entries(xy, monkeypatch):
     assert far_sample_report(x + y + 1, trials=4).trials == 4
     assert far_sample_report(six[0] - six[1], trials=2).trials == 2
     assert far_sample_report(u**2 - v + w, trials=2).trials == 2
+
+
+def test_far_sample_residuals_keep_their_bits_in_blocks_of_rows(xy, monkeypatch):
+    """The top form is evaluated in blocks of rows whose cached powers, a
+    value per row for each of the 12 distinct (variable, exponent) pairs
+    of (x + y)^6, hold at most _MAX_TABLE_ENTRIES entries; a row's
+    residual does not depend on the block it falls in, as long as that
+    block has more than one row (see _evaluate_rows)."""
+    _, x, y = xy
+    f = (x + y)**6 - x * y + 1
+    report = far_sample_report(f, trials=20)
+    points, _ = numeric._far_points(f, 1e6, 20, 42)
+    top = numeric._compile(leading_form(f))
+    whole = numeric._evaluate_rows(top, points)
+    assert [value for _, value in report.samples] == abs(whole).tolist()
+    assert len(points) == 120
+
+    class Rows(np.ndarray):
+        """Points that record the length of each block of rows sliced from them."""
+        blocks = []
+
+        def __getitem__(self, key):
+            part = super().__getitem__(key)
+            if isinstance(key, slice):
+                Rows.blocks.append(len(part))
+            return part
+
+    off = points + 0.25  # off V, so no value is near 0
+    expected = [evaluate_complex(leading_form(f), p) for p in off.tolist()]
+    for bound, blocks in ((2 * 12, 60), (3 * 12 + 11, 40), (5 * 12, 24), (7 * 12 + 5, 18),
+                          (11 * 12, 11), (119 * 12, 2), (120 * 12, 1)):
+        monkeypatch.setattr(numeric, "_MAX_TABLE_ENTRIES", bound)
+        Rows.blocks = []
+        assert numeric._evaluate_rows(top, points.view(Rows)).tobytes() == whole.tobytes()
+        assert len(Rows.blocks) == blocks and sum(Rows.blocks) == 120
+        assert max(Rows.blocks) * 12 <= bound
+        assert np.allclose(numeric._evaluate_rows(top, off), expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, 1.5, math.inf, math.nan])

@@ -64,6 +64,14 @@ def test_monomial_rejects_negative_exponent(xy):
         Polynomial(ctx, {(-1, 0): 1})
 
 
+@pytest.mark.parametrize("e", [(1.5, 0), ("2", 0), (2.0, 0)])
+def test_monomial_rejects_non_integer_exponent(xy, e):
+    # Each entry is read as an integer or refused, never truncated or parsed.
+    ctx, x, y = xy
+    with pytest.raises(ValueError, match="non-integer exponent"):
+        Polynomial(ctx, {e: 1})
+
+
 def test_zero_coefficients_dropped(xy):
     ctx, x, y = xy
     p = x - x

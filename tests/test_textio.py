@@ -13,7 +13,14 @@ from tcone import textio
 from tcone.cone import tangent_cone_at_infinity
 from tcone.groebner import buchberger
 from tcone.numeric import TSchedule, loj_ratio_schedule
-from tcone.polyring import GREVLEX, VariableContext, constant, variable
+from tcone.polyring import (
+    GREVLEX,
+    VariableContext,
+    _pow_products,
+    _pow_terms,
+    constant,
+    variable,
+)
 from tcone.textio import (
     ParseError,
     _tokens,
@@ -467,6 +474,29 @@ def test_parse_work_cap_charges_what_each_step_copies(monkeypatch):
         start = time.perf_counter()
         assert parse_ideal(f"vars x y\npoly {line}\n").polynomials == expected
         assert time.perf_counter() - start < 1.0
+
+
+def test_parse_work_cap_charges_a_variable_power_in_closed_form(monkeypatch):
+    # x^k is charged at its '^', once, for the products the dict route's
+    # binary powering runs on k, counted here by a counting multiply.
+    def products(k):
+        count = 0
+
+        def mul(a, b):
+            nonlocal count
+            count += 1
+            return a + b
+        assert _pow_terms(1, k, 0, mul) == k
+        return count
+
+    for k in [*range(4097), 1_000_000]:
+        assert _pow_products(k) == products(k), k
+    assert _pow_products(1_000_000) == 26
+    for k in (0, 2, 3, 7, 255, 256, 4095, 4096, 10_000):
+        assert work_of(f"vars x\npoly x^{k}\n", monkeypatch) == _pow_products(k), k
+    assert work_of("vars x\npoly x^1\n", monkeypatch) == 0  # x^1 is x
+    nine = " ".join(f"v{i}" for i in range(9))  # a pair of terms costs 2 units
+    assert work_of(f"vars {nine}\npoly v8^7\n", monkeypatch) == 2 * _pow_products(7) == 10
 
 
 @pytest.mark.parametrize("line", ["0*x^5000*y^5001*z^5000", "x^5000*0*y^5001"])
