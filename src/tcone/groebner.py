@@ -17,13 +17,14 @@ the order's negated key.  Which divisor reduces a term depends only on
 monomials, and a multiple of a divisor cancels a term just as the
 divisor does, so the reductions are those of division over the
 rationals, in the same order, and every remainder and basis is
-identical to the rational one, term for term.  ``normal_form`` divides
-by a Basis's reducers, a plain sequence made one first, and cone
-membership evaluates them at integer points (``_vanish``).  ``buchberger``
-stays on reducers from its inputs to its final remainders, the only
-elements made Fractions: its working basis holds reducers and no
-generators.  It stops with a BasisLimitError past ``_MAX_BASIS``
-elements or ``_DEADLINE_S`` seconds.
+identical to the rational one, term for term.  A Basis checks its
+generators once, when built: at least one, none zero, one context.
+``normal_form`` and ``reduce_basis`` take only a Basis and divide by its
+reducers, and cone membership evaluates them at integer points
+(``_vanish``).  ``buchberger`` stays on reducers from its inputs to its
+final remainders, the only elements made Fractions: its working basis
+holds reducers and no generators.  It stops with a BasisLimitError past
+``_MAX_BASIS`` elements or ``_DEADLINE_S`` seconds.
 """
 
 from __future__ import annotations
@@ -70,13 +71,25 @@ def _overdue():
 class Basis:
     """An ordered generating set under a fixed monomial order.
 
-    Immutable; equal and hashed by (generators, order).  The working
-    basis that buchberger hands to reduce_basis holds only its context,
-    reducers and order, and has no generators.
+    Immutable; equal and hashed by (generators, order).  Built from at
+    least one generator, none zero, all of one context, which it keeps
+    as ``context``.  buchberger's working basis, made by ``_working``,
+    holds only its context, reducers and order, and has no generators.
     """
 
     def __init__(self, generators: tuple[Polynomial, ...], order: MonomialOrder):
-        self.__dict__.update(generators=generators, order=order)
+        if not generators:
+            raise ZeroIdealError("zero ideal")
+        if any(g.is_zero() for g in generators):
+            raise ZeroIdealError("zero divisor polynomial")
+        self.__dict__.update(generators=generators, order=order,
+                             context=_shared_context(generators))
+
+    @classmethod
+    def _working(cls, context: VariableContext, reducers: list, order: MonomialOrder) -> Basis:
+        basis = cls.__new__(cls)
+        basis.__dict__.update(context=context, _reducers=reducers, order=order)
+        return basis
 
     def __setattr__(self, name, value):
         raise AttributeError("Basis is immutable")
@@ -95,10 +108,6 @@ class Basis:
         return len(vars(self).get("generators") or self._reducers)
 
     @cached_property
-    def context(self) -> VariableContext:
-        return self.generators[0].context
-
-    @cached_property
     def _reducers(self) -> list[tuple]:
         """The generators as reducers, built on the first division by this basis."""
         return _reducers(self.generators, self.order)
@@ -112,24 +121,17 @@ def _shared_context(polys: Sequence[Polynomial]) -> VariableContext:
     return ctx
 
 
-def normal_form(f: Polynomial, divisors, order: MonomialOrder | None = None) -> Polynomial:
-    """Remainder of f on division by the given polynomials.
+def normal_form(f: Polynomial, basis: Basis) -> Polynomial:
+    """Remainder of f on division by the generators of basis, in their order.
 
-    ``divisors`` is a Basis or a sequence of nonzero polynomials (then
-    ``order`` must be given).  No monomial of the result is divisible by
-    a leading monomial of a divisor, and f minus the result lies in the
-    ideal the divisors generate.
+    No monomial of the result is divisible by a leading monomial of a
+    generator, and f minus the result lies in the ideal they generate.
+    f must share the basis's context.
     """
-    if not isinstance(divisors, Basis):
-        if order is None:
-            raise ValueError("order required when divisors are a plain sequence")
-        divisors = Basis(tuple(divisors), order)
-    gens = divisors.generators
-    if any(g.is_zero() for g in gens):
-        raise ZeroIdealError("zero divisor polynomial")
-    _shared_context((f,) + gens)
+    if f.context != basis.context:
+        raise ContextMismatchError("polynomial and basis from different contexts")
     p, d = _integer_terms(f)
-    remainder, scale = _reduce(p, divisors._reducers, divisors.order.negated_key)
+    remainder, scale = _reduce(p, basis._reducers, basis.order.negated_key)
     d *= scale
     return _raw(f.context, {e: Fraction(c, d) for e, c in remainder.items()})
 
@@ -286,10 +288,11 @@ def _interreduced(R: list, nkey, deadline: float) -> list:
     while True:
         passed = []
         for k, r in enumerate(R):
-            if not any(all(map(le, h[0], e)) for h in R[:k] for e in _terms(r)):
+            terms = _terms(r)
+            if not any(all(map(le, h[0], e)) for h in R[:k] for e in terms):
                 passed.append(r)  # no term to reduce
                 continue
-            remainder, _ = _reduce(_terms(r), R[:k], nkey, deadline)
+            remainder, _ = _reduce(terms, R[:k], nkey, deadline)
             if remainder:
                 passed.append(_reducer(remainder, next(iter(remainder))))
         if passed == R:
@@ -355,37 +358,31 @@ def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
         for k in range(new):
             pending.add((k, new))
             heappush(queue, (sum(map(max, lm[k], lead)), k, new))
-    basis = Basis.__new__(Basis)
-    basis.__dict__.update(context=ctx, _reducers=R, order=order)
-    return reduce_basis(basis, order)
+    return reduce_basis(Basis._working(ctx, R, order))
 
 
-def reduce_basis(G: Sequence[Polynomial] | Basis, order: MonomialOrder) -> Basis:
-    """Canonical reduced form of a Groebner basis.
+def reduce_basis(basis: Basis) -> Basis:
+    """Canonical reduced form of a Groebner basis under its order.
 
     Drops generators whose leading monomial is divisible by another's,
-    tail-reduces each of the rest against the others on G's reducers (a
-    Basis under this order is taken as it is), makes each remainder
-    monic, its terms descending, and sorts ascending by leading monomial.
+    tail-reduces each of the rest by the smaller ones (a larger leading
+    monomial divides no smaller term), makes each remainder monic, its
+    terms descending, and sorts ascending by leading monomial.
     """
-    if not (isinstance(G, Basis) and G.order == order):
-        gens = tuple(g for g in G if not g.is_zero())
-        if not gens:
-            raise ZeroIdealError("zero ideal")
-        G = Basis(gens, order)
-    key = order.key
+    key = basis.order.key
     R: list[tuple] = []
-    for r in sorted(G._reducers, key=lambda r: key(r[0])):
+    for r in sorted(basis._reducers, key=lambda r: key(r[0])):
         if not any(all(map(le, h[0], r[0])) for h in R):
             R.append(r)
     # The leading monomials of a minimal basis are distinct and already ascending.
-    nkey = order.negated_key
-    return Basis(tuple(_monic(G.context, _reduce(_terms(r), R[:k] + R[k + 1:], nkey)[0])
-                       for k, r in enumerate(R)), order)
+    nkey = basis.order.negated_key
+    return Basis(tuple(_monic(basis.context, _reduce(_terms(r), R[:k], nkey)[0])
+                       for k, r in enumerate(R)), basis.order)
 
 
 def ideal_member(f: Polynomial, basis: Basis) -> bool:
-    """Membership of f in the ideal; basis must be a Groebner basis."""
+    """Membership of f in the ideal of basis, which must be a Groebner
+    basis: whether f's normal form is zero.  f must share its context."""
     return normal_form(f, basis).is_zero()
 
 

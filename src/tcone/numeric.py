@@ -236,13 +236,19 @@ _PAIR_BLOCK = 1 << 14
 
 # The relative correction below which the root finder freezes a row.
 _ROOT_TOL = 1e-12
+# The sweeps a row runs before the root finder also stops it on the
+# backward-error bound.
+_BACKWARD_SWEEPS = 64
 
 
 def _horner(a: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """p(z) and p'(z) for each monic row of ``a`` (ascending) at each entry of z.
 
     Only the nonzero coefficient columns are visited: a run of g zero
-    columns costs one power z**(g-1), not g multiplications.
+    columns costs one power z**(g-1), not g multiplications.  The column
+    indices, and so the gaps, must stay numpy integers: with a Python int
+    k, ``z ** k`` and ``k * p`` take other numpy paths and can change the
+    last bits of the roots.
     """
     import numpy as np
 
@@ -295,6 +301,11 @@ def _aberth(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is frozen once its largest correction drops below _ROOT_TOL times its
     root scale max(1, max |z_i|), after 500 sweeps, or, unconverged at its
     last finite estimates, when a sweep would leave a root non-finite.
+    After _BACKWARD_SWEEPS sweeps a row also stops, converged at its
+    current estimates, once every root z_i meets the backward-error bound
+    |p(z_i)| <= 8 n eps sum_k |a_k| |z_i|**k (Bini & Fiorentino 2000): a
+    cluster of roots can keep its corrections above _ROOT_TOL forever.
+    The bound is relative, so a pure power z**n never meets it.
     """
     import numpy as np
     rows, n = a.shape[0], a.shape[1] - 1
@@ -305,11 +316,16 @@ def _aberth(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         converged = np.zeros(rows, dtype=bool)
         sweeps = np.zeros(rows, dtype=int)
         live = np.arange(rows)
-        for _ in range(500):
+        for sweep in range(500):
             if not live.size:
                 break
             zl = z[live]
             p, dp = _horner(a[live], zl)
+            if sweep >= _BACKWARD_SWEEPS:  # a NaN ratio (0/0, inf/inf) fails the bound
+                scale = _horner(np.abs(a[live]), np.abs(zl))[0]
+                met = (np.abs(p) / scale <= 8 * n * np.finfo(float).eps).all(axis=1)
+                converged[live[met]] = True
+                live, zl, p, dp = live[~met], zl[~met], p[~met], dp[~met]
             step = p / (dp - p * _pair_sums(zl))
             zl = zl - step
             sweeps[live] += 1

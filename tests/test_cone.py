@@ -173,7 +173,7 @@ def test_cone_forms_are_already_reduced(standard_system):
             if all(f.is_zero() for f in ideal):
                 continue
             cone = tangent_cone_at_infinity(ideal, order).generators
-            again = reduce_basis(list(cone), order)
+            again = reduce_basis(Basis(cone.generators, order))
             assert again == cone
             assert [list(g.terms) for g in again] == [list(g.terms) for g in cone]
             assert all(g.is_homogeneous() for g in cone)

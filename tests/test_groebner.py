@@ -10,6 +10,7 @@ import pytest
 
 from tcone import groebner
 from tcone.groebner import (
+    Basis,
     BasisLimitError,
     ZeroIdealError,
     buchberger,
@@ -22,6 +23,7 @@ from tcone.groebner import (
 )
 from tcone.polyring import (
     ELIM_FIRST,
+    ContextMismatchError,
     GREVLEX,
     ORDERS_BY_NAME,
     MonomialOrder,
@@ -45,7 +47,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def test_normal_form_generator_reduces_to_zero(five_lines):
     ctx, f1, f2 = five_lines
-    assert normal_form(f1, [f1, f2], GREVLEX).is_zero()
+    assert normal_form(f1, Basis((f1, f2), GREVLEX)).is_zero()
 
 
 def test_normal_form_member_with_nonzero_remainder(five_lines):
@@ -54,24 +56,24 @@ def test_normal_form_member_with_nonzero_remainder(five_lines):
     ctx, f1, f2 = five_lines
     x, y, z = variables(ctx)
     member = y**3 * z - y * z**3
-    assert normal_form(member, [f1, f2], GREVLEX) == member
+    assert normal_form(member, Basis((f1, f2), GREVLEX)) == member
     assert ideal_member(member, buchberger([f1, f2], GREVLEX))
 
 
 def test_normal_form_multiple_of_generator(xy):
     ctx, x, y = xy
-    assert normal_form(x * (x * y), [x * y], GREVLEX).is_zero()
+    assert normal_form(x * (x * y), Basis((x * y,), GREVLEX)).is_zero()
 
 
 def test_normal_form_idempotent():
     ctx = VariableContext(("x", "y"))
     rng = random.Random(17)
     gens = [random_poly(ctx, rng, max_degree=3) for _ in range(8)]
-    gens = [g for g in gens if not g.is_zero()][:3]
+    basis = Basis(tuple(g for g in gens if not g.is_zero())[:3], GREVLEX)
     for _ in range(40):
         f = random_poly(ctx, rng, max_degree=5)
-        r = normal_form(f, gens, GREVLEX)
-        assert normal_form(r, gens, GREVLEX) == r
+        r = normal_form(f, basis)
+        assert normal_form(r, basis) == r
 
 
 def test_normal_form_term_cancels_then_returns(xyz):
@@ -79,7 +81,7 @@ def test_normal_form_term_cancels_then_returns(xyz):
     # x*y by the second brings z^2 back: f - g1 - g2 = z^2.
     ctx, x, y, z = xyz
     f = x**2 + x * y - z**2
-    assert normal_form(f, [x**2 - z**2, x * y - z**2], GREVLEX) == z**2
+    assert normal_form(f, Basis((x**2 - z**2, x * y - z**2), GREVLEX)) == z**2
 
 
 def rational_normal_form(f, divisors, order):
@@ -123,7 +125,7 @@ ORACLE_ORDERS = [ORDERS_BY_NAME["lex"], ORDERS_BY_NAME["grlex"], GREVLEX, ELIM_F
 
 
 def assert_same_remainder(f, divisors, order):
-    r = normal_form(f, divisors, order)
+    r = normal_form(f, Basis(tuple(divisors), order))
     expected = rational_normal_form(f, divisors, order)
     # the same terms in the same order: numeric evaluation sums in term order
     assert list(r.terms.items()) == list(expected.terms.items()), (f, divisors, order)
@@ -139,8 +141,9 @@ def test_normal_form_matches_rational_division(order):
             divisors = [random_poly(ctx, rng, max_degree=3, max_terms=4)
                         for _ in range(rng.randint(1, 4))]
             divisors = [g for g in divisors if not g.is_zero()]
-            assert_same_remainder(random_poly(ctx, rng, max_degree=6, max_terms=8),
-                                  divisors, order)
+            if divisors:  # a Basis has at least one generator
+                assert_same_remainder(random_poly(ctx, rng, max_degree=6, max_terms=8),
+                                      divisors, order)
 
 
 @pytest.mark.parametrize("order", ORACLE_ORDERS, ids=lambda o: o.kind)
@@ -154,7 +157,6 @@ def test_normal_form_edge_cases_match_rational_division(xyz, order):
     r = assert_same_remainder(f, awkward, order)
     assert not r.is_zero()
     assert assert_same_remainder(zero(ctx), awkward, order).is_zero()
-    assert assert_same_remainder(f, [], order) == f
     multiple = (Fraction(3, 2) * x * y - z) * awkward[1]
     assert assert_same_remainder(multiple, awkward[1:2], order).is_zero()
 
@@ -178,7 +180,7 @@ def test_s_polynomial_self_is_zero(xy):
 def test_s_polynomial_coprime_pair_reduces(xy):
     ctx, x, y = xy
     s = s_polynomial(x, y, GREVLEX)
-    assert normal_form(s, [x, y], GREVLEX).is_zero()
+    assert normal_form(s, Basis((x, y), GREVLEX)).is_zero()
 
 
 # -- buchberger ------------------------------------------------------------
@@ -255,8 +257,8 @@ def test_unknown_order_kind_is_a_value_error(xy):
     ctx, x, y = xy
     bogus = MonomialOrder("bogus")
     calls = [lambda: buchberger([x * y - 1], bogus),
-             lambda: normal_form(x**2, [x * y - 1], bogus),
-             lambda: reduce_basis([x * y - 1], bogus)]
+             lambda: normal_form(x**2, Basis((x * y - 1,), bogus)),
+             lambda: reduce_basis(Basis((x * y - 1,), bogus))]
     for call in calls:
         with pytest.raises(ValueError, match="^unknown order kind 'bogus'$"):
             call()
@@ -364,20 +366,24 @@ def test_reduction_checks_the_deadline_at_each_step():
 
 def test_reduce_basis_drops_redundant(xy):
     ctx, x, y = xy
-    basis = reduce_basis([x, y - x**2, y], GREVLEX)
+    basis = reduce_basis(Basis((x, y - x**2, y), GREVLEX))
     assert set(basis.generators) == {x, y}
 
 
 def test_reduce_basis_idempotent(five_lines):
-    ctx, f1, f2 = five_lines
-    basis = buchberger([f1, f2], GREVLEX)
-    again = reduce_basis(list(basis.generators), GREVLEX)
-    assert again.generators == basis.generators
+    # A fresh Basis of the same generators builds its reducers anew; the
+    # terms of every element keep their order too.
+    ideals = [list(five_lines[1:]), katsura(3), cyclic(4)]
+    for gens, kind in itertools.product(ideals, ("lex", "grlex", "grevlex")):
+        basis = buchberger(gens, ORDERS_BY_NAME[kind])
+        again = reduce_basis(Basis(basis.generators, basis.order))
+        assert reduce_basis(basis) == again == basis
+        assert [list(g.terms) for g in again] == [list(g.terms) for g in basis]
 
 
 def test_reduce_basis_monic(xy):
     ctx, x, y = xy
-    basis = reduce_basis([2 * x], GREVLEX)
+    basis = reduce_basis(Basis((2 * x,), GREVLEX))
     assert basis.generators == (x,)
 
 
@@ -386,7 +392,7 @@ def test_reduce_basis_reuses_the_reducers_of_a_basis(five_lines, monkeypatch):
     basis = buchberger([f1, f2], GREVLEX)
     normal_form(f1, basis)  # builds the basis's reducers
     monkeypatch.setattr(groebner, "_integer_terms", None)  # no conversion left to run
-    assert reduce_basis(basis, GREVLEX) == basis
+    assert reduce_basis(basis) == basis
 
 
 # -- ideal membership and equality -------------------------------------------
@@ -547,23 +553,34 @@ def test_ideal_member_agrees_with_cofactor_search():
         cases += 1
 
 
+def test_basis_checks_its_generators_once(xy):
+    ctx, x, y = xy
+    (u,) = variables(VariableContext(("u",)))
+    with pytest.raises(ZeroIdealError, match="^zero ideal$"):
+        Basis((), GREVLEX)
+    with pytest.raises(ZeroIdealError, match="^zero divisor polynomial$"):
+        Basis((x, zero(ctx)), GREVLEX)
+    with pytest.raises(ContextMismatchError, match="^generators from different contexts$"):
+        Basis((x, u), GREVLEX)
+    assert Basis((x, y), GREVLEX).context == ctx
+
+
 def test_division_input_errors(xy):
     ctx, x, y = xy
     (u,) = variables(VariableContext(("u",)))
-    with pytest.raises(ZeroIdealError, match="^zero divisor polynomial$"):
-        normal_form(x, [x, zero(ctx)], GREVLEX)
-    with pytest.raises(ValueError, match="^generators from different contexts$"):
-        normal_form(x, [u], GREVLEX)
-    with pytest.raises(ValueError, match="^order required when divisors are a plain sequence$"):
-        normal_form(x, [y])
+    with pytest.raises(ContextMismatchError,
+                       match="^polynomial and basis from different contexts$"):
+        normal_form(x, Basis((u,), GREVLEX))
+    with pytest.raises(ContextMismatchError):
+        ideal_member(u, Basis((x, y), GREVLEX))
     with pytest.raises(ZeroIdealError, match="^s-polynomial of a zero polynomial$"):
         s_polynomial(x, zero(ctx), GREVLEX)
 
 
 def test_zero_ideal_errors(xy):
     ctx, x, y = xy
-    with pytest.raises(ZeroIdealError, match="^zero ideal$"):
-        reduce_basis([zero(ctx)], GREVLEX)
+    with pytest.raises(ZeroIdealError, match="^zero divisor polynomial$"):
+        reduce_basis(Basis((zero(ctx),), GREVLEX))
     with pytest.raises(ZeroIdealError, match="^zero ideal$"):
         ideal_intersect([zero(ctx)], [x])
 

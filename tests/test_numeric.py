@@ -323,6 +323,9 @@ def test_roots_batched_rows_match_one_row_calls():
             assert sweeps[k] == single.sweeps
         else:
             assert_multiset_close(z[k], single.roots, 1e-9)
+    # The backward-error bound is relative: it never stops the pure power,
+    # which runs past _BACKWARD_SWEEPS to converge on its corrections.
+    assert sweeps[-1] == 80 > numeric._BACKWARD_SWEEPS
 
 
 def test_pair_sums_in_blocks(monkeypatch):
@@ -613,6 +616,32 @@ def test_far_sampling_deflates_below_a_nonzero_constant():
     xs = [u[0] for u in samples.directions]
     assert sum(z == 0 for z in xs) == 3
     assert all(abs(z) > 0.1 for z in xs if z != 0)
+
+
+def test_far_sampling_clustered_roots_converge(xy):
+    """Far out, each restriction of (x - y)^10 + x^9 has ten roots in a
+    cluster, whose corrections rounding keeps above _ROOT_TOL: every row
+    used to end unconverged after 500 sweeps.  From _BACKWARD_SWEEPS on,
+    the backward-error bound stops each row, converged, at roots whose
+    residuals meet it."""
+    _, x, y = xy
+    deflated, rows = numeric._deflated, []
+
+    def recorded(a, k):
+        z, converged, sweeps = deflated(a, k)
+        rows.append((a, z, converged))
+        return z, converged, sweeps
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(numeric, "_deflated", recorded)
+        report = far_sample_report((x - y)**10 + x**9)
+    assert sum(len(converged) for _, _, converged in rows) == 100
+    for a, z, converged in rows:
+        assert converged.all()
+        residual = np.abs(numeric._horner(a, z)[0])
+        scale = numeric._horner(np.abs(a), np.abs(z))[0]
+        assert (residual <= 8 * (a.shape[1] - 1) * np.finfo(float).eps * scale).all()
+    assert report.verdict == "pass"
 
 
 def test_seeded_tables_are_cached_read_only():
