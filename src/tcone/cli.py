@@ -4,9 +4,15 @@ Exit codes: 0 success or verdict pass, 1 usage or parse error (or a
 Groebner basis past its caps), 2 verification verdict fail, 3
 inconclusive (solver non-convergence).
 Results go to stdout, diagnostics to stderr.  Every command takes
-``--help``; every error is one ``error: ...`` line on stderr.  The
-parser is the standard library's argparse, so a command loads only
-the tcone modules it uses.
+``--help``; every error is one ``error: ...`` line on stderr, a closed
+or full stdout among them (exit 1).  The parser is the standard
+library's argparse, so a command loads only the tcone modules it uses.
+
+``main`` runs one command in the calling process and changes nothing in
+it.  ``run`` is the process entry of ``python -m tcone.cli`` and of the
+``tcone`` script: it runs BLAS on one thread unless
+``OPENBLAS_NUM_THREADS`` is already set, and ends the process without
+interpreter teardown.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import textio
 from .cone import cone_membership, tangent_cone_at_infinity
@@ -226,15 +232,38 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        argv = _attach_values(argv)
-        args = _parser(argv).parse_args(argv)
-        return args.run(args)
-    except SystemExit:  # --help printed the help text
-        return 0
+        try:
+            argv = _attach_values(argv)
+            args = _parser(argv).parse_args(argv)
+            code = args.run(args)
+        except SystemExit:  # --help printed the help text
+            code = 0
+        if sys.stdout is not None:  # None when the process started with stdout closed
+            sys.stdout.flush()  # a closed or full stdout fails here, not at exit
+        return code
     except (ValueError, OSError) as err:  # usage and parse errors among them
         print(f"error: {err}", file=sys.stderr)
         return 1
 
 
+def run() -> NoReturn:
+    """The process entry: main() on sys.argv, then os._exit with its code.
+
+    The numeric commands solve systems of at most 6x6 and root batches of
+    about 100 rows, where BLAS runs on one thread anyway, so starting and
+    joining OpenBLAS's thread pool is pure cost; a user's own
+    OPENBLAS_NUM_THREADS wins.  main has flushed stdout, or reported why
+    it could not, so nothing is left for interpreter teardown to do.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
+    code = main()
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:  # nowhere left to report it
+        pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import tcone
+from tcone import cli
 from tcone.cli import main
 from tcone.groebner import buchberger
 from tcone.polyring import ORDERS_BY_NAME
@@ -561,3 +563,122 @@ def test_golden_output(capsys, name, args):
     assert code == code2
     assert first == second  # byte-identical across consecutive runs
     assert first == (GOLDEN / name).read_text()
+
+
+# -- process entry ------------------------------------------------------------------
+# `python -m tcone.cli` and the `tcone` script run cli.run(): BLAS on one
+# thread unless OPENBLAS_NUM_THREADS is set, then os._exit.  The children
+# here get a block-buffered stdout (no PYTHONUNBUFFERED), as in a shell pipe.
+
+SX60 = "vars x y\npoly x^60 - y^59 + 1\n"  # verify sample prints about 217 KB
+
+
+def entry_process(args, **streams):
+    """`python -m tcone.cli args` with the test's own BLAS setting removed."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONUNBUFFERED", "OPENBLAS_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(tcone.__file__).resolve().parents[1])
+    streams.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "tcone.cli", *args], env=env,
+                          stderr=subprocess.PIPE, text=True, **streams)
+
+
+@pytest.mark.parametrize("name,args", [case for case in GOLDEN_CASES if case[1][0] == "verify"])
+def test_entry_prints_what_main_prints(capsys, name, args):
+    # main runs here under numpy's default BLAS pool, the child on one thread.
+    expected = run(capsys, args)
+    proc = entry_process(args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+def test_entry_delivers_a_large_output_whole(capsys, tmp_path):
+    args = ["verify", "sample", ideal_file(tmp_path, SX60)]
+    expected = run(capsys, args)
+    assert len(expected[1]) > 65536  # more than a pipe holds at once
+    proc = entry_process(args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+
+@pytest.mark.parametrize("sink", ["closed-pipe", "/dev/full"])
+@pytest.mark.parametrize("command", ["gb", "sample"])
+def test_entry_closed_or_full_stdout_is_one_error_line(tmp_path, sink, command):
+    # gb's few lines fail when main flushes them, the sample's 217 KB while
+    # it prints.
+    args = (["gb", FIVELINES] if command == "gb"
+            else ["verify", "sample", ideal_file(tmp_path, SX60)])
+    if sink == "closed-pipe":
+        read, out = os.pipe()
+        os.close(read)
+    elif os.path.exists(sink):
+        out = os.open(sink, os.O_WRONLY)
+    else:
+        pytest.skip(f"{sink} does not exist here")
+    try:
+        proc = entry_process(args, stdout=out)
+    finally:
+        os.close(out)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
+def test_entry_with_stdout_closed_from_the_start_exits_quietly():
+    # Python then sets sys.stdout to None and print writes nothing.
+    proc = entry_process(["gb", FIVELINES], stdout=subprocess.DEVNULL,
+                         preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.fixture
+def entry(monkeypatch):
+    """cli.run on argv in this process; returns the code it passed to os._exit.
+
+    OPENBLAS_NUM_THREADS starts unset, and monkeypatch restores it after.
+    """
+    codes = []
+    monkeypatch.setattr(os, "_exit", codes.append)
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+
+    def call(args):
+        monkeypatch.setattr(sys, "argv", ["tcone", *args])
+        cli.run()
+        [code] = codes
+        codes.clear()
+        return code
+    return call
+
+
+def test_entry_sets_one_blas_thread_unless_set(entry, monkeypatch, capsys):
+    assert entry(["gb", FIVELINES]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    assert entry(["gb", FIVELINES]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+
+
+@pytest.mark.parametrize("args,code", [
+    (["gb", FIVELINES], 0),
+    (["gb", BROKEN], 1),
+    (["verify", "ratio", FIVELINES, "--direction", "1,1,0"], 2),
+    (["--help"], 0),
+])
+def test_entry_exits_with_the_code_of_main(entry, capsys, args, code):
+    assert entry(args) == code == main(args)
+
+
+class _ClosedPipe(io.StringIO):
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_entry_reports_a_failed_flush_in_one_line(entry, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert entry(["gb", FIVELINES]) == 1
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_main_leaves_the_environment_alone(capsys):
+    before = dict(os.environ)
+    assert main(["verify", "distance", CUSP, "--direction", "1,0"]) == 0
+    assert dict(os.environ) == before
