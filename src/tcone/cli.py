@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, NoReturn
 from . import textio
 from .cone import cone_membership, tangent_cone_at_infinity
 from .groebner import buchberger
-from .polyring import ORDERS_BY_NAME
+from .polyring import ORDERS_BY_NAME, _ideal_generators
 from .textio import parse_ideal, parse_point
 
 if TYPE_CHECKING:
@@ -156,13 +156,12 @@ def verify_distance(args) -> int:
 def verify_sample(args) -> int:
     """Far-point direction sampling (single-generator ideals only)."""
     from . import numeric
-    ideal = _load_ideal(args.ideal_file)
-    nonzero = [p for p in ideal.polynomials if not p.is_zero()]
-    if len(nonzero) != 1:
+    gens, _ = _ideal_generators(_load_ideal(args.ideal_file).polynomials)
+    if len(gens) != 1:
         raise ValueError(
             "verify sample handles hypersurfaces only: the ideal file must "
             "contain exactly one nonzero polynomial")
-    report = numeric.far_sample_report(nonzero[0], radius=args.radius,
+    report = numeric.far_sample_report(gens[0], radius=args.radius,
                                        trials=args.trials, seed=args.seed,
                                        residual_tol=args.sample_tol,
                                        min_fraction=args.min_fraction)

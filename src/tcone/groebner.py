@@ -42,10 +42,12 @@ from .polyring import (
     MonomialOrder,
     Polynomial,
     VariableContext,
+    ZeroIdealError,
     ELIM_FIRST,
     constant,
     leading_term,
     variable,
+    _ideal_generators,
     _raw,
 )
 
@@ -54,10 +56,6 @@ from .polyring import (
 # n elements has up to n^2/2 pairs, so the size cap also bounds those.
 _MAX_BASIS = 1000
 _DEADLINE_S = 600.0
-
-
-class ZeroIdealError(ValueError):
-    """All supplied generators are zero."""
 
 
 class BasisLimitError(ValueError):
@@ -78,12 +76,11 @@ class Basis:
     """
 
     def __init__(self, generators: tuple[Polynomial, ...], order: MonomialOrder):
-        if not generators:
-            raise ZeroIdealError("zero ideal")
         if any(g.is_zero() for g in generators):
             raise ZeroIdealError("zero divisor polynomial")
+        # With no zero to drop, the generator rule refuses () and mixed contexts.
         self.__dict__.update(generators=generators, order=order,
-                             context=_shared_context(generators))
+                             context=_ideal_generators(generators)[1])
 
     @classmethod
     def _working(cls, context: VariableContext, reducers: list, order: MonomialOrder) -> Basis:
@@ -111,14 +108,6 @@ class Basis:
     def _reducers(self) -> list[tuple]:
         """The generators as reducers, built on the first division by this basis."""
         return _reducers(self.generators, self.order)
-
-
-def _shared_context(polys: Sequence[Polynomial]) -> VariableContext:
-    ctx = polys[0].context
-    for p in polys[1:]:
-        if p.context != ctx:
-            raise ContextMismatchError("generators from different contexts")
-    return ctx
 
 
 def normal_form(f: Polynomial, basis: Basis) -> Polynomial:
@@ -303,22 +292,20 @@ def _interreduced(R: list, nkey, deadline: float) -> list:
 def buchberger(F: Sequence[Polynomial], order: MonomialOrder) -> Basis:
     """Reduced Groebner basis of the ideal generated by F.
 
-    Zero generators are skipped; an all-zero input is rejected.  A
-    nonzero constant anywhere collapses the basis to {1}.  Pairs are
-    selected by the normal strategy: a heap pops the pair of minimal lcm
-    degree, ties broken by the pair index (i, j).  The key is computed
-    once per pair, and a new pair always carries the newest index, so
-    the heap pops pairs in the order of a scan for the minimum.  Pairs
+    F is read by polyring's generator rule: zero generators are dropped,
+    and an all-zero F or mixed rings are refused.  A nonzero constant
+    anywhere collapses the basis to {1}.  Pairs are selected by the
+    normal strategy: a heap pops the pair of minimal lcm degree, ties
+    broken by the pair index (i, j).  The key is computed once per pair,
+    and a new pair always carries the newest index, so the heap pops
+    pairs in the order of a scan for the minimum.  Pairs
     are pruned with the coprime-leading-monomial and chain criteria, so
     the output is a deterministic function of the input list.  Each
     input becomes a reducer once, and each S-polynomial remainder joins
     the basis as one.  Raises BasisLimitError past _MAX_BASIS elements
     or _DEADLINE_S seconds, checked at each pair and reduction step.
     """
-    gens = [f for f in F if not f.is_zero()]
-    if not gens:
-        raise ZeroIdealError("zero ideal")
-    ctx = _shared_context(gens)
+    gens, ctx = _ideal_generators(F)
     deadline = monotonic() + _DEADLINE_S
     nkey = order.negated_key
     R = _interreduced(_reducers(gens, order), nkey, deadline)
@@ -404,13 +391,11 @@ def ideal_intersect(F: Sequence[Polynomial], G: Sequence[Polynomial]) -> list[Po
 
     Adjoins an auxiliary variable w as the first coordinate, computes a
     Groebner basis of <w*F, (1-w)*G> under the order eliminating w, and
-    keeps the generators free of w.
+    keeps the generators free of w.  F and G are each read by the
+    generator rule, and must share one ring.
     """
-    fs = [f for f in F if not f.is_zero()]
-    gs = [g for g in G if not g.is_zero()]
-    if not fs or not gs:
-        raise ZeroIdealError("zero ideal")
-    ctx = _shared_context(fs + gs)
+    fs, gs = _ideal_generators(F)[0], _ideal_generators(G)[0]
+    ctx = _ideal_generators(fs + gs)[1]
     w_name = _fresh_name(ctx.names, "w")
     ectx = VariableContext((w_name,) + ctx.names)
 

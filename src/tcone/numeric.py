@@ -21,8 +21,8 @@ import math
 import sys
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .groebner import _shared_context
-from .polyring import Polynomial, differentiate, total_degree, leading_form
+from .polyring import (Polynomial, VariableContext, differentiate, total_degree,
+                       leading_form, _ideal_generators)
 
 # numpy is imported inside the functions that use it, so that importing
 # this module for its report types and verdicts does not load numpy.
@@ -51,10 +51,14 @@ class EvaluationOverflowError(ArithmeticError):
 # trials times the larger of the number of terms and degree times
 # variables, which bounds each of its tables (see _far_points).  Its peak
 # memory measured 39 to 95 bytes an entry (Python 3.11, numpy 2.4), so
-# the entry cap is about 1 GB.
+# the entry cap is about 1 GB.  Its root finding costs trials * d**2 a
+# sweep at degree d: on x^d - y + 1 at 100 trials, verify sample took
+# 1.6 s at d = 1,000 (10**8) and 5.4 s at d = 2,000 (4 * 10**8) on a
+# 2-vCPU x86-64 host, so the work cap keeps such a run to about 3 s.
 _MAX_STEPS = 100
 _MAX_TRIALS = 100_000
 _MAX_TABLE_ENTRIES = 10_000_000
+_MAX_ROOT_WORK = 200_000_000
 _PLATEAU_SPAN = 10.0  # least t_last / t_first over a plateau's three steps (100 by default)
 
 
@@ -462,7 +466,9 @@ def _far_points(f: Polynomial, radius: float, trials: int,
     _MAX_TABLE_ENTRIES.  It covers the angles (trials x n), the term
     phases (trials x terms), the coefficients and roots (trials x
     (d + 1)) and the kept directions (at most trials x d rows of n), and
-    it keeps every exponent below the cap.  The roots go into one table,
+    it keeps every exponent below the cap.  A second rule, checked after
+    it, bounds the time: trials times d**2, the root finder's work a
+    sweep, at most _MAX_ROOT_WORK.  The roots go into one table,
     trials by roots, NaN past each trial's degree, which reads the kept
     points in the order of trials, then roots.  The angles come from
     ``_angle_table``'s cache (at most 8 tables of at most 4,096 angles,
@@ -484,6 +490,10 @@ def _far_points(f: Polynomial, radius: float, trials: int,
     if entries > _MAX_TABLE_ENTRIES:
         raise ValueError(f"far sampling needs at most {_MAX_TABLE_ENTRIES:,} table entries "
                          f"(trials * max(terms, degree * variables)), not {entries:,}")
+    work = trials * d * d
+    if work > _MAX_ROOT_WORK:
+        raise ValueError(f"far sampling needs at most {_MAX_ROOT_WORK:,} units of root-finding "
+                         f"work (trials * degree**2), not {work:,}")
     # f compiled once in scaled form: term t contributes
     # scaled[t] * exp(i * sum_k e_tk * theta_k) * w**e_tj
     # R >= 1 makes every factor R**(|e| - d) at most 1.
@@ -608,18 +618,10 @@ def far_sample_report(f: Polynomial, radius: float = 1e6, trials: int = 100,
                               radius=radius, trials=trials)
 
 
-def _nonzero(F: Sequence[Polynomial]) -> list[Polynomial]:
-    gens = [g for g in F if not g.is_zero()]
-    if not gens:
-        raise ValueError("generators must not all be zero")
-    return gens
-
-
-def _direction(gens: Sequence[Polynomial], v: Sequence[complex]) -> ComplexPoint:
-    """v as complex numbers, checked against the one ring of the nonzero ``gens``."""
-    n = _shared_context(gens).n
-    if len(v) != n:
-        raise ValueError(f"direction has {len(v)} entries, expected {n}")
+def _direction(ctx: VariableContext, v: Sequence[complex]) -> ComplexPoint:
+    """v as complex numbers, checked against the ring ``ctx``."""
+    if len(v) != ctx.n:
+        raise ValueError(f"direction has {len(v)} entries, expected {ctx.n}")
     if all(z == 0 for z in v):
         raise ValueError("direction must be nonzero")
     return tuple(complex(z) for z in v)
@@ -654,15 +656,14 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
     like a power of t on cone directions and converges to a positive
     constant when some top form survives at v.  A constant generator
     means V is empty, and so is its cone: every value is n/a and the
-    verdict is fail.  ``pass_decay`` must lie in (0, 1], and
-    ``plateau_tol`` be positive and finite.
+    verdict is fail.  F is read by polyring's generator rule (zero
+    generators dropped, not all zero, one ring).  ``pass_decay`` must lie
+    in (0, 1], and ``plateau_tol`` be positive and finite.
     """
     _require_fraction("pass decay", pass_decay)
     _require_positive("plateau tolerance", plateau_tol)
-    gens = list(F)
-    if any(g.is_zero() for g in gens) or not gens:
-        raise ValueError("generators must be nonzero")
-    v = _direction(gens, v)
+    gens, ctx = _ideal_generators(F)
+    v = _direction(ctx, v)
     degrees = [total_degree(g) for g in gens]
     evaluate = _evaluator([_compile(g) for g in gens], len(v))
     samples: list[tuple[float, float | None]] = []
@@ -766,27 +767,32 @@ def _perturbations(seed: int, n: int) -> tuple[tuple[np.ndarray, float], ...]:
 
 
 def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
-                            seed: int = 42, residual_tol: float = 1e-10) -> DistanceEstimate:
+                            seed: int = 42, residual_tol: float = 1e-10, *,
+                            warm_start: Sequence[complex] | None = None) -> DistanceEstimate:
     """Upper bound on the distance from x0 to the common zero set of F.
 
     Damped least-squares (Levenberg-style) iterations on the real and
-    imaginary parts of the generators, started from x0 and from
+    imaginary parts of the generators, started from x0, from
     perturbations of relative radius 0.5, drawn from ``seed`` (a
-    nonnegative integer).  A run converges when every normalized
-    residual |g_i(z)| / max(1,||z||)**deg(g_i) drops below
-    ``residual_tol``; the returned bound is the smallest finite
-    ||x0 - z|| over converged runs, hence an upper bound on the true
-    distance up to that residual tolerance, which must be positive and
-    finite.  ``converged`` is false when no run lands at a finite
-    distance.
+    nonnegative integer), and last from ``warm_start`` when one is
+    given.  A run converges when every normalized residual
+    |g_i(z)| / max(1,||z||)**deg(g_i) drops below ``residual_tol``; the
+    returned bound is the smallest finite ||x0 - z|| over converged
+    runs, the first of equals, hence an upper bound on the true distance
+    up to that residual tolerance, which must be positive and finite.
+    ``converged`` is false when no run lands at a finite distance.  F is
+    read by polyring's generator rule (zero generators dropped, not all
+    zero, one ring).
     """
     _require_positive("residual tolerance", residual_tol)
     _require_seed(seed)
-    gens = _nonzero(F)
-    n = _shared_context(gens).n
+    gens, ctx = _ideal_generators(F)
+    n = ctx.n
     x0 = tuple(complex(z) for z in x0)
-    if len(x0) != n:
-        raise ValueError(f"start point has {len(x0)} entries, expected {n}")
+    warm = [] if warm_start is None else [tuple(complex(z) for z in warm_start)]
+    for what, point in zip(("start point", "warm start"), [x0] + warm):
+        if len(point) != n:
+            raise ValueError(f"{what} has {len(point)} entries, expected {n}")
     import numpy as np
     degrees = [total_degree(g) for g in gens]
     partials = _evaluator([_compile(differentiate(g, j)) for g in gens for j in range(n)], n,
@@ -805,7 +811,7 @@ def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
     best_bound = math.inf
     best_landed: ComplexPoint | None = None
     eye = np.eye(2 * n)
-    for start in starts:
+    for start in starts + warm:
         with np.errstate(all="ignore"):  # far out, J.T @ J may overflow: no warning
             landed = _levenberg_run(residual_at, jacobian, start, eye)
             if landed is None:
@@ -990,30 +996,39 @@ def distance_ratio_report(F: Sequence[Polynomial], v: Sequence[complex], sched: 
                           plateau_tol: float = 0.1) -> VerificationReport:
     """Distance-ratio evidence along the ray t*v.
 
-    Tabulates estimate_distance_upper(F, t*v)/t over the schedule.  The
-    ratio must drop by at least ``1/pass_decay`` from first to last
+    Tabulates estimate_distance_upper(F, t*v)/t over the schedule.  From
+    the second step on, the estimate also starts, last, from the
+    previous step's landing times the schedule factor: the branch of V
+    found at one t, followed out to the next, which the fixed starts can
+    miss there.  It moves the bound only where it lands strictly nearer,
+    so each value is still an upper bound.  The ratio must drop by at
+    least ``1/pass_decay`` from first to last
     step on cone directions and plateaus at a positive level otherwise;
     solver non-convergence at any step makes the report inconclusive.
     A nonzero constant generator means V is empty: every value is n/a
-    and the verdict is fail, as in ``loj_ratio_schedule``.  The
+    and the verdict is fail, as in ``loj_ratio_schedule``.  F and the
     thresholds are checked as there and in ``estimate_distance_upper``.
     """
     _require_positive("residual tolerance", residual_tol)
     _require_fraction("pass decay", pass_decay)
     _require_positive("plateau tolerance", plateau_tol)
     _require_seed(seed)
-    vv = _direction(_nonzero(F), v)
-    empty = any(g.is_constant() and not g.is_zero() for g in F)
+    gens, ctx = _ideal_generators(F)
+    vv = _direction(ctx, v)
+    empty = any(g.is_constant() for g in gens)
     samples: list[tuple[float, float | None]] = []
     failed_steps = []
+    warm = None
     for t in sched.values():
         est = None if empty else estimate_distance_upper(
-            F, tuple(t * z for z in vv), seed, residual_tol)
+            gens, tuple(t * z for z in vv), seed, residual_tol, warm_start=warm)
         if est is None or not est.converged:
             samples.append((t, None))
             failed_steps.append(t)
+            warm = None
         else:
             samples.append((t, est.bound / t))
+            warm = [complex(sched.factor * z.real, sched.factor * z.imag) for z in est.landed]
     values = [r for _, r in samples]
     if empty:
         verdict, diagnostics = FAIL, "a generator is a nonzero constant: V is empty"

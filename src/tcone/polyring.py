@@ -31,6 +31,10 @@ class ZeroPolynomialError(ValueError):
     """Operation undefined for the zero polynomial (degree, leading data)."""
 
 
+class ZeroIdealError(ValueError):
+    """All supplied generators are zero."""
+
+
 class VariableContext:
     """An ordered list of distinct variable names fixing the ambient ring.
 
@@ -338,6 +342,20 @@ def variable(context: VariableContext, name: str) -> Polynomial:
 def variables(context: VariableContext) -> list[Polynomial]:
     """One generator polynomial per context variable, in context order."""
     return [variable(context, name) for name in context.names]
+
+
+def _ideal_generators(F: Iterable[Polynomial]) -> tuple[list[Polynomial], VariableContext]:
+    """The one rule for an ideal's generator list: F's nonzero polynomials,
+    in order, and their one context.  An empty or all-zero F is the zero
+    ideal (ZeroIdealError); the rest must share one ring
+    (ContextMismatchError)."""
+    gens = [f for f in F if not f.is_zero()]
+    if not gens:
+        raise ZeroIdealError("zero ideal")
+    ctx = gens[0].context
+    if any(g.context != ctx for g in gens):
+        raise ContextMismatchError("generators from different contexts")
+    return gens, ctx
 
 
 # -- core operations ---------------------------------------------------

@@ -414,6 +414,8 @@ USAGE_ERRORS = {
     "trials-negative": ["verify", "sample", CUSP, "--trials", "-5"],
     "table-above-cap": ["verify", "sample", str(DATA / "degree1000.ideal"),
                         "--trials", "100000"],
+    "root-work-above-cap": ["verify", "sample", str(DATA / "degree1000.ideal"),
+                            "--trials", "201"],
     "negative-seed-sample": ["verify", "sample", CUSP, "--seed", "-1"],
     "negative-seed-distance": ["verify", "distance", CUSP, "--direction", "1,0",
                                "--seed", "-1"],
@@ -501,13 +503,15 @@ def test_exact_commands_do_not_import_numpy():
         "assert tcone.cli.main(args) == 0, args\n"
         "assert not (found := loaded('numpy', 'click', 'dataclasses')), found\n"
         # Every refusal comes before numpy loads: a negative seed, a bad
-        # radius or trial count, a table past its cap.
+        # radius or trial count, a table or root-finding work past its cap.
         f"for args in (['verify', 'sample', {CUSP!r}, '--seed', '-1'],\n"
         f"             ['verify', 'distance', {CUSP!r}, '--direction', '1,0', '--seed', '-1'],\n"
         f"             ['verify', 'sample', {CUSP!r}, '--radius', '0.5'],\n"
         f"             ['verify', 'sample', {CUSP!r}, '--trials', '0'],\n"
         f"             ['verify', 'sample', {str(DATA / 'degree1000.ideal')!r},\n"
-        "              '--trials', '100000']):\n"
+        "              '--trials', '100000'],\n"
+        f"             ['verify', 'sample', {str(DATA / 'degree1000.ideal')!r},\n"
+        "              '--trials', '201']):\n"
         "    assert tcone.cli.main(args) == 1, args\n"
         "    assert not (found := loaded('numpy')), (args, found)\n"
         # So do the library's refusals.

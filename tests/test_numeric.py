@@ -774,6 +774,29 @@ def test_far_sampling_caps_its_table_entries(xy, monkeypatch):
     assert far_sample_report(u**2 - v + w, trials=2).trials == 2
 
 
+def test_far_sampling_caps_its_root_finding_work(xy, monkeypatch):
+    """The root finder's work, trials * degree**2, is capped before anything
+    is drawn, after the table-size rule: x^(10^7) - y at 3 trials passes
+    both caps, and the table's message is the one given."""
+    _, x, y = xy
+
+    def drawn(*args):
+        raise AssertionError("angle table drawn before the work was checked")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(numeric, "_angle_table", drawn)
+        with pytest.raises(ValueError, match="^far sampling needs at most 200,000,000 units of "
+                                             r"root-finding work \(trials \* degree\*\*2\), "
+                                             "not 201,000,000$"):
+            far_sample_report(x**1000 - y + 1, trials=201)
+        with pytest.raises(ValueError, match="table entries"):
+            far_sample_report(x**(10**7) - y, trials=3)
+        monkeypatch.setattr(numeric, "_MAX_ROOT_WORK", 36)
+        with pytest.raises(ValueError, match="not 45$"):
+            far_sample_report(x**3 - y + 1, trials=5)
+    assert far_sample_report(x**3 - y + 1, trials=4).trials == 4  # 36, at the cap
+
+
 def test_far_sample_residuals_keep_their_bits_in_blocks_of_rows(xy, monkeypatch):
     """The top form is evaluated in blocks of rows whose cached powers, a
     value per row for each of the 12 distinct (variable, exponent) pairs
@@ -928,6 +951,26 @@ def test_distance_report_cone_direction_passes(five_lines):
     assert ratios[2] <= 0.5 * ratios[1]
 
 
+def test_distance_report_continues_along_the_branch(five_lines):
+    # (0, 0, 1) lies on the cone: the branch y = 0, x^3 + z^2 = 0 runs off
+    # along it.  On the reduced basis every fixed start at t = 1e5 lands at
+    # the origin, ratio 3; each step after the first also starts from the
+    # previous landing times the factor, which stays on the branch.
+    ctx, f1, f2 = five_lines
+    gens = buchberger([f1, f2], GREVLEX).generators
+    sched = TSchedule()
+    assert estimate_distance_upper(gens, (0, 0, 3e5)).bound / 1e5 == pytest.approx(3.0)
+    report = distance_ratio_report(gens, (0, 0, 3), sched)
+    assert report.verdict == "pass"
+    values = [r for _, r in report.samples]
+    assert all(b < a for a, b in zip(values, values[1:])) and values[-1] < 0.05
+    warm = None
+    for t, value in zip(sched.values(), values):
+        est = estimate_distance_upper(gens, (0, 0, 3 * t), warm_start=warm)
+        assert est.bound / t == value
+        warm = [complex(10 * z.real, 10 * z.imag) for z in est.landed]
+
+
 def test_distance_report_ray_in_variety(five_lines):
     ctx, f1, f2 = five_lines
     basis = buchberger([f1, f2], GREVLEX)
@@ -988,22 +1031,29 @@ def test_plateau_needs_the_last_three_steps_to_span_a_factor_of_ten(xy, report):
 @pytest.mark.parametrize("report", [loj_ratio_schedule, distance_ratio_report])
 def test_non_radical_cone_reports(xy, report):
     # <(y - x^2)^2> is not radical; its cone is V(x^4) = V(x), and both ray
-    # reports see that: the direction (0, 1) lies in it and (1, 1) does not.
+    # reports see that: the direction (0, 1) lies in it, (1, 1) and (1, 0)
+    # do not.  Along (1, 0) the double root's flat residual once sent every
+    # fixed distance start far off at t = 1e5 (ratio 58, inconclusive); the
+    # start continued from the previous step keeps the plateau.
     ctx, x, y = xy
     basis = buchberger([(y - x**2)**2], GREVLEX)
     assert report(basis.generators, (0, 1), TSchedule()).verdict == "pass"
     assert report(basis.generators, (1, 1), TSchedule()).verdict == "fail"
+    assert report(basis.generators, (1, 0), TSchedule()).verdict == "fail"
 
 
 def test_report_input_errors(xy):
     ctx, x, y = xy
     zero = x - x
-    with pytest.raises(ValueError, match="^generators must be nonzero$"):
-        loj_ratio_schedule([x, zero], (1, 0), TSchedule())
-    with pytest.raises(ValueError, match="^generators must not all be zero$"):
+    # A zero generator is dropped, as everywhere an ideal's generators are read.
+    assert (loj_ratio_schedule([x, zero], (1, 0), TSchedule())
+            == loj_ratio_schedule([x], (1, 0), TSchedule()))
+    with pytest.raises(ValueError, match="^zero ideal$"):
         estimate_distance_upper([zero], (1, 0))
     with pytest.raises(ValueError, match="^start point has 3 entries, expected 2$"):
         estimate_distance_upper([x], (1, 0, 0))
+    with pytest.raises(ValueError, match="^warm start has 1 entries, expected 2$"):
+        estimate_distance_upper([x], (1, 0), warm_start=(1,))
     with pytest.raises(ValueError, match="^direction must be nonzero$"):
         distance_ratio_report([x], (0, 0), TSchedule())
     with pytest.raises(ValueError, match="^unknown variable 'z'$"):

@@ -1,10 +1,13 @@
+import argparse
 import itertools
 import random
+import types
 from fractions import Fraction
 from operator import add, mul, neg, sub
 
 import pytest
 
+from tcone import cli, groebner, numeric
 from tcone.polyring import (
     ELIM_FIRST,
     GREVLEX,
@@ -13,6 +16,7 @@ from tcone.polyring import (
     ContextMismatchError,
     Polynomial,
     VariableContext,
+    ZeroIdealError,
     ZeroPolynomialError,
     constant,
     differentiate,
@@ -442,3 +446,48 @@ def test_polynomial_and_context_are_immutable_with_a_repr():
     assert repr(ctx) == "VariableContext(('x', 'y'))"
     assert repr(f) == "Polynomial(2*(1, 1) + -1*(0, 0))"
     assert repr(zero(ctx)) == "Polynomial(0)"
+
+
+# -- the generator rule ------------------------------------------------------
+# Every entry point that takes an ideal's generator list reads it by
+# polyring's one rule: zero generators are dropped, an all-zero list is
+# the zero ideal, and the rest must share one ring.
+
+_GX, _GY = variables(VariableContext(("x", "y")))
+(_GU,) = variables(VariableContext(("u",)))
+_CUSP = _GX**2 - _GY**3
+
+
+def _verify_sample(generators, monkeypatch, capsys):
+    """cli.verify_sample on an ideal file that parses to ``generators``."""
+    loaded = types.SimpleNamespace(polynomials=generators)
+    monkeypatch.setattr(cli, "_load_ideal", lambda path: loaded)
+    args = argparse.Namespace(ideal_file="cusp.ideal", radius=1e6, trials=5, seed=42,
+                              sample_tol=1e-2, min_fraction=0.95, json=True)
+    return cli.verify_sample(args), capsys.readouterr()
+
+
+GENERATOR_LIST_READERS = {
+    "buchberger": lambda F, *_: groebner.buchberger(F, GREVLEX),
+    "intersect-first": lambda F, *_: groebner.ideal_intersect(F, [_GY]),
+    "intersect-second": lambda F, *_: groebner.ideal_intersect([_GY], F),
+    "ratio": lambda F, *_: numeric.loj_ratio_schedule(F, (1, 0), numeric.TSchedule()),
+    "estimate": lambda F, *_: numeric.estimate_distance_upper(F, (3, 4)),
+    "distance": lambda F, *_: numeric.distance_ratio_report(F, (1, 0),
+                                                            numeric.TSchedule(steps=2)),
+    "verify-sample": _verify_sample,
+}
+
+
+@pytest.mark.parametrize("read", GENERATOR_LIST_READERS.values(),
+                         ids=GENERATOR_LIST_READERS.keys())
+def test_every_entry_point_reads_a_generator_list_by_one_rule(read, monkeypatch, capsys):
+    zero = _GX - _GX
+    for F in ([], [zero], [zero, zero]):
+        with pytest.raises(ZeroIdealError, match="^zero ideal$"):
+            read(F, monkeypatch, capsys)
+    for F in ([_CUSP, _GU], [_GU, zero, _CUSP]):
+        with pytest.raises(ContextMismatchError, match="^generators from different contexts$"):
+            read(F, monkeypatch, capsys)
+    assert read([zero, _CUSP, zero], monkeypatch, capsys) == read([_CUSP], monkeypatch, capsys)
+    assert groebner.ZeroIdealError is ZeroIdealError
