@@ -201,7 +201,10 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
                                     help=f"{text} (default: %(default)s)".lstrip())
 
     ray = [("--direction", str, None, "Ray direction, e.g. '0,0,1'."),
-           ("--t0", float, 10.0, ""), ("--factor", float, 10.0, ""), ("--steps", int, 5, "")]
+           ("--t0", float, 10.0, ""), ("--factor", float, 10.0, ""), ("--steps", int, 5, ""),
+           ("--pass-decay", float, 0.5, "r(last)/r(first) bound for a pass."),
+           ("--plateau-tol", float, 0.1,
+            "Relative variation over the last three steps for a fail.")]
     top = _Parser(prog="tcone", add_help=False, allow_abbrev=False,
                   description="Tangent cones at infinity of affine complex varieties.")
     top.add_argument("--help", action="help", help="Show this message and exit.")
@@ -212,14 +215,10 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
             ("--point", str, None, "Exact rational point, e.g. '0,0,1'."))
     kinds = add(commands, "verify", "Numeric cross-validation of the cone against its "
                 "definition.").add_subparsers(metavar="COMMAND", required=True)
-    command(kinds, "ratio", verify_ratio, *ray,
-            ("--pass-decay", float, 0.5, "r(last)/r(first) bound for a pass."),
-            ("--plateau-tol", float, 0.1,
-             "Relative variation over the last three steps for a fail."))
+    command(kinds, "ratio", verify_ratio, *ray)
     command(kinds, "distance", verify_distance, *ray, ("--seed", int, 42, ""),
             ("--residual-tol", float, 1e-10,
-             "Normalized residual below which a landing counts as on V."),
-            ("--pass-decay", float, 0.5, ""), ("--plateau-tol", float, 0.1, ""))
+             "Normalized residual below which a landing counts as on V."))
     command(kinds, "sample", verify_sample, ("--radius", float, 1e6, ""),
             ("--trials", int, 100, ""), ("--seed", int, 42, ""),
             ("--sample-tol", float, 1e-2, "Top-form residual bound counted as consistent."),

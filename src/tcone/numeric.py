@@ -618,13 +618,21 @@ def far_sample_report(f: Polynomial, radius: float = 1e6, trials: int = 100,
                               radius=radius, trials=trials)
 
 
-def _direction(ctx: VariableContext, v: Sequence[complex]) -> ComplexPoint:
-    """v as complex numbers, checked against the ring ``ctx``."""
+def _direction(ctx: VariableContext, v: Sequence[complex], t0: float) -> ComplexPoint:
+    """v as complex numbers, checked against the ring ``ctx`` and the
+    schedule's first t.  The ray must start at least 1 from the origin
+    (t0 * ||v|| >= 1), the rule far sampling applies to its radius:
+    nearer in, the generators can underflow to 0 at every step."""
     if len(v) != ctx.n:
         raise ValueError(f"direction has {len(v)} entries, expected {ctx.n}")
     if all(z == 0 for z in v):
         raise ValueError("direction must be nonzero")
-    return tuple(complex(z) for z in v)
+    v = tuple(complex(z) for z in v)
+    start = t0 * math.hypot(*map(abs, v))
+    if start < 1:
+        raise ValueError("the ray must start at least 1 from the origin: "
+                         f"t0 times the direction's norm is {start:g}")
+    return v
 
 
 def _fit_decay_exponent(samples: Sequence[tuple[float, float | None]]) -> float | None:
@@ -657,13 +665,14 @@ def loj_ratio_schedule(F: Sequence[Polynomial], v: Sequence[complex],
     constant when some top form survives at v.  A constant generator
     means V is empty, and so is its cone: every value is n/a and the
     verdict is fail.  F is read by polyring's generator rule (zero
-    generators dropped, not all zero, one ring).  ``pass_decay`` must lie
+    generators dropped, not all zero, one ring).  The ray must start at
+    least 1 from the origin (t0 * ||v|| >= 1).  ``pass_decay`` must lie
     in (0, 1], and ``plateau_tol`` be positive and finite.
     """
     _require_fraction("pass decay", pass_decay)
     _require_positive("plateau tolerance", plateau_tol)
     gens, ctx = _ideal_generators(F)
-    v = _direction(ctx, v)
+    v = _direction(ctx, v, sched.t0)
     degrees = [total_degree(g) for g in gens]
     evaluate = _evaluator([_compile(g) for g in gens], len(v))
     samples: list[tuple[float, float | None]] = []
@@ -811,16 +820,16 @@ def estimate_distance_upper(F: Sequence[Polynomial], x0: Sequence[complex],
     best_bound = math.inf
     best_landed: ComplexPoint | None = None
     eye = np.eye(2 * n)
-    for start in starts + warm:
-        with np.errstate(all="ignore"):  # far out, J.T @ J may overflow: no warning
+    with np.errstate(all="ignore"):  # far out, J.T @ J may overflow: no warning
+        for start in starts + warm:
             landed = _levenberg_run(residual_at, jacobian, start, eye)
             if landed is None:
                 continue
             landed = _tangential_polish(residual_at, jacobian, x0, landed, eye)
             bound = _dist(x0, landed)
-        if bound < best_bound:
-            best_bound = bound
-            best_landed = landed
+            if bound < best_bound:
+                best_bound = bound
+                best_landed = landed
     return DistanceEstimate(best_bound, best_landed, best_landed is not None)
 
 
@@ -863,8 +872,10 @@ def _tangential_polish(residual_at, jacobian, x0, landed, eye) -> ComplexPoint:
     Alternates a step toward x0 projected onto the tangent space of the
     zero set with a damped least-squares re-projection.  Each accepted
     cycle strictly shrinks ||x0 - z||, so the result is still a
-    residual-certified landing, only nearer to x0.  Deterministic; a
-    best-effort local improvement, not a certified nearest point.
+    residual-certified landing, only nearer to x0.  It keeps the last
+    landing once the tangent step is negligible, no step size brings z
+    nearer, or the Jacobian at z leaves double precision.  Deterministic;
+    a best-effort local improvement, not a certified nearest point.
 
     Points are lists of Python complex, as in _levenberg_run.  numpy
     forms only J @ d and the least-squares solve (_lstsq, the gufunc
@@ -880,27 +891,25 @@ def _tangential_polish(residual_at, jacobian, x0, landed, eye) -> ComplexPoint:
     for _ in range(_POLISH_CYCLES):
         d = [a - b for a, b in zip(x0, z)]
         d_real = np.array(d).view(float)  # (re d_0, im d_0, re d_1, ...)
-        J = jacobian(z)
+        try:
+            J = jacobian(z)
+        except EvaluationOverflowError:
+            break
         tangent = (d_real - _lstsq(J, J @ d_real)).tolist()
         if _norm(tangent) < 1e-13 * (1.0 + best):
             break
         step = _steps(tangent)
         alpha = 1.0
-        improved = False
         while alpha > 1e-4:
             # alpha * s as numpy multiplies: (alpha + 0j) * s
             trial = [x + complex(alpha * s.real - 0.0 * s.imag, alpha * s.imag + 0.0 * s.real)
                      for x, s in zip(z, step)]
             reprojected = _levenberg_run(residual_at, jacobian, trial, eye)
-            if reprojected is not None:
-                dist = _dist(x0, reprojected)
-                if dist < best * (1 - 1e-12):
-                    z = list(reprojected)
-                    best = dist
-                    improved = True
-                    break
+            if reprojected is not None and (dist := _dist(x0, reprojected)) < best * (1 - 1e-12):
+                z, best = list(reprojected), dist
+                break
             alpha /= 2
-        if not improved:
+        else:  # no step size brought z nearer
             break
     return tuple(z)
 
@@ -921,32 +930,30 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _levenberg_run(residual_at, jacobian, start, eye) -> ComplexPoint | None:
     """Damped Gauss-Newton (Levenberg) iterations from start; the landed point or None.
 
-    Each iteration solves (J^T J + damping * I) delta = -J^T res.  A step
-    is accepted when it strictly lowers the squared residual; the damping,
-    first _INITIAL_DAMPING, then falls tenfold to no less than 1e-15.
-    Otherwise (a cost no lower, a residual that overflows, or a singular
-    pivot) the damping rises tenfold and the same iteration solves again,
-    until it passes 1e12 and the run gives up.  The run returns the first
-    point that lands, and None after _MAX_ITERATIONS or once a step is
-    below 1e-16 of ||z||.
+    Each iteration solves (J^T J + damping * I) delta = -J^T res, the
+    damping first _INITIAL_DAMPING.  One rule rejects the candidate
+    z + delta: its solve is all NaN (a singular pivot, or NaN spread from
+    an overflowed J^T J) and is not evaluated, its residual leaves double
+    precision, or its squared residual is no lower.  A rejection
+    multiplies the damping by 10 and solves again; an acceptance divides
+    it by 10, to no less than 1e-15.  The run returns the start or the
+    first accepted candidate that lands, and None when the start's
+    residual or a Jacobian leaves double precision, the damping passes
+    1e12, an accepted step is below 1e-16 of ||z||, or after
+    _MAX_ITERATIONS steps.
 
     The point z is a list of Python complex.  numpy runs only what its
     bits depend on: J^T J, J^T res, the solve and res @ res.  Each step
     is read from delta.tolist() and the candidate z + step formed in
     Python with numpy's operations (_steps), so every bit is that of the
     same loop on numpy arrays; the step-size test takes _norm of the
-    step and of z.
-    The solve goes through _solve, the gufunc behind np.linalg.solve,
-    because on these 4x4 to 6x6 systems the wrapper cost three to four
-    times the solve itself.  A singular pivot returns all NaN instead of
-    raising LinAlgError, and takes the branch LinAlgError took (damping
-    * 10, solve again), so every step and every bit are those of
-    np.linalg.solve.  An all-NaN solution that np.linalg.solve returned
-    without raising (NaN spread from an overflowed J^T J) takes the same
-    branch, as it did then through the overflow of its residual; a
-    solution with some NaN entries is tried as a step, as before.  The
-    caller must hold ``np.errstate(all="ignore")``: a singular pivot sets
-    the invalid flag, and far out J^T J may overflow.
+    step and of z.  The solve is _solve, the gufunc behind
+    np.linalg.solve: on these 4x4 to 6x6 systems the wrapper cost three
+    to four times the solve itself.  Where np.linalg.solve raises
+    LinAlgError, _solve returns all NaN, which the rule rejects; a
+    solve with only some NaN entries is evaluated.  The caller must hold
+    ``np.errstate(all="ignore")``: a singular pivot sets the invalid
+    flag, and far out J^T J may overflow.
     """
     z = list(start)
     try:
@@ -958,31 +965,30 @@ def _levenberg_run(residual_at, jacobian, start, eye) -> ComplexPoint | None:
     damping = _INITIAL_DAMPING
     cost = float(res @ res)
     for _ in range(_MAX_ITERATIONS):
-        J = jacobian(z)
+        try:
+            J = jacobian(z)
+        except EvaluationOverflowError:
+            return None
         A = J.T @ J
         b = -(J.T @ res)
-        accepted = False
         while damping <= 1e12:
             d = _solve(A + damping * eye, b).tolist()
-            if d[0] != d[0] and all(x != x for x in d):  # all NaN
-                damping *= 10
-                continue
-            step = _steps(d)
-            candidate = [x + s for x, s in zip(z, step)]
-            try:
-                cand_res, cand_lands = residual_at(candidate)
-            except EvaluationOverflowError:
-                damping *= 10
-                continue
-            cand_cost = float(cand_res @ cand_res)
+            cand_cost = math.inf
+            if d[0] == d[0] or any(x == x for x in d):  # an all-NaN solve is not evaluated
+                step = _steps(d)
+                candidate = [x + s for x, s in zip(z, step)]
+                try:
+                    cand_res, cand_lands = residual_at(candidate)
+                    cand_cost = float(cand_res @ cand_res)
+                except EvaluationOverflowError:
+                    pass
             if cand_cost < cost:
-                z, res, cost, lands = candidate, cand_res, cand_cost, cand_lands
-                damping = max(damping / 10, 1e-15)
-                accepted = True
                 break
-            damping *= 10
-        if not accepted:
+            damping *= 10  # the one rejection
+        else:  # the damping passed 1e12
             return None
+        z, res, cost, lands = candidate, cand_res, cand_cost, cand_lands
+        damping = max(damping / 10, 1e-15)
         if lands:
             return tuple(z)
         if _norm(step) < 1e-16 * (1.0 + _norm(z)):
@@ -1014,7 +1020,7 @@ def distance_ratio_report(F: Sequence[Polynomial], v: Sequence[complex], sched: 
     _require_positive("plateau tolerance", plateau_tol)
     _require_seed(seed)
     gens, ctx = _ideal_generators(F)
-    vv = _direction(ctx, v)
+    vv = _direction(ctx, v, sched.t0)
     empty = any(g.is_constant() for g in gens)
     samples: list[tuple[float, float | None]] = []
     failed_steps = []

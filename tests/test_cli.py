@@ -25,6 +25,7 @@ BROKEN = str(DATA / "broken.ideal")
 DEGREE8 = str(DATA / "degree8.ideal")
 MIXED = str(DATA / "mixed.ideal")
 PARABOLA = str(DATA / "parabola.ideal")
+DEGREE308 = str(DATA / "degree308.ideal")
 
 
 def run(capsys, args):
@@ -217,6 +218,18 @@ def test_verify_distance_overflow_is_inconclusive(capsys, tmp_path):
         assert out.splitlines()[-1] == "verdict: inconclusive"
         assert len(err.splitlines()) == 1
         assert err.startswith("verdict: inconclusive (solver did not converge at t = ")
+
+
+def test_verify_distance_overflowing_jacobian_is_inconclusive(capsys):
+    # On x^308 - y along (1, 0), the partial 308 x^307 leaves double
+    # precision at t = 10, where x^308 does not, and x^308 itself from
+    # t = 100 on.  A run whose Jacobian overflows ends unconverged, as one
+    # whose start overflows does, and not in an EvaluationOverflowError.
+    code, out, err = run(capsys, ["verify", "distance", DEGREE308, "--direction", "1,0"])
+    assert code == 3
+    assert out.splitlines()[-1] == "verdict: inconclusive"
+    assert len(err.splitlines()) == 1
+    assert err.startswith("verdict: inconclusive (")
 
 
 def test_verify_distance_ray_meeting_v_passes(capsys):
@@ -419,6 +432,10 @@ USAGE_ERRORS = {
     "negative-seed-sample": ["verify", "sample", CUSP, "--seed", "-1"],
     "negative-seed-distance": ["verify", "distance", CUSP, "--direction", "1,0",
                                "--seed", "-1"],
+    "near-origin-ratio": ["verify", "ratio", FIVELINES, "--direction", "1,1,0",
+                          "--t0", "1e-300"],
+    "near-origin-distance": ["verify", "distance", CUSP, "--direction", "1/4,0",
+                             "--t0", "2"],
 }
 
 
@@ -503,11 +520,15 @@ def test_exact_commands_do_not_import_numpy():
         "assert tcone.cli.main(args) == 0, args\n"
         "assert not (found := loaded('numpy', 'click', 'dataclasses')), found\n"
         # Every refusal comes before numpy loads: a negative seed, a bad
-        # radius or trial count, a table or root-finding work past its cap.
+        # radius or trial count, a ray that starts within 1 of the origin,
+        # a table or root-finding work past its cap.
         f"for args in (['verify', 'sample', {CUSP!r}, '--seed', '-1'],\n"
         f"             ['verify', 'distance', {CUSP!r}, '--direction', '1,0', '--seed', '-1'],\n"
         f"             ['verify', 'sample', {CUSP!r}, '--radius', '0.5'],\n"
         f"             ['verify', 'sample', {CUSP!r}, '--trials', '0'],\n"
+        f"             ['verify', 'ratio', {FIVELINES!r}, '--direction', '1,1,0',\n"
+        "              '--t0', '1e-300'],\n"
+        f"             ['verify', 'distance', {CUSP!r}, '--direction', '1/4,0', '--t0', '2'],\n"
         f"             ['verify', 'sample', {str(DATA / 'degree1000.ideal')!r},\n"
         "              '--trials', '100000'],\n"
         f"             ['verify', 'sample', {str(DATA / 'degree1000.ideal')!r},\n"

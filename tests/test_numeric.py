@@ -1064,6 +1064,7 @@ _X, _Y = variables(VariableContext(("x", "y")))
 _A, _B, _C = variables(VariableContext(("a", "b", "c")))
 _MIXED = "generators from different contexts"
 _SHORT = "direction has 1 entries, expected 2"
+_NEAR = "the ray must start at least 1 from the origin: t0 times the direction's norm is 0.3125"
 
 
 @pytest.mark.parametrize("function,gens,v,message", [
@@ -1078,9 +1079,13 @@ _SHORT = "direction has 1 entries, expected 2"
     (distance_ratio_report, [_X * _Y - 1], (1,), _SHORT),
     # A constant generator runs no estimate, so the direction is checked up front.
     (distance_ratio_report, [_X - _X + 1], (1,), _SHORT),
+    # From t0 = 10, a ray along (1/32, 0) starts 0.3125 from the origin.
+    (loj_ratio_schedule, [_X * _Y - 1], (0.03125, 0), _NEAR),
+    (distance_ratio_report, [_X * _Y - 1], (0.03125, 0), _NEAR),
 ], ids=["ratio-mixed-last", "ratio-mixed-first", "distance-mixed-first",
         "distance-mixed-last", "estimate-mixed-first", "estimate-mixed-last",
-        "ratio-short-direction", "distance-short-direction", "distance-empty-short"])
+        "ratio-short-direction", "distance-short-direction", "distance-empty-short",
+        "ratio-near-origin", "distance-near-origin"])
 def test_ray_reports_check_one_ring_and_the_direction(function, gens, v, message):
     schedule = () if function is estimate_distance_upper else (TSchedule(),)
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -1116,6 +1121,33 @@ def test_levenberg_run_gives_up_at_its_iteration_cap(xy, monkeypatch):
         assert abs(landed[0] - 0.6) < 1e-9 and abs(landed[1] - 0.8) < 1e-9
         monkeypatch.setattr(numeric, "_MAX_ITERATIONS", 5)
         assert numeric._levenberg_run(residual_at, jacobian, start, eye) is None
+
+
+def test_estimate_survives_an_overflowing_jacobian(xy):
+    # At (10, 0) on x^308 - y the residual is finite, but the partial
+    # 308 x^307 is not: that run ends unconverged, and the estimate comes
+    # from the other starts instead of raising EvaluationOverflowError.
+    ctx, x, y = xy
+    x0 = (10, 0)
+    with pytest.raises(EvaluationOverflowError):
+        evaluate_complex(differentiate(x**308 - y, 0), x0)
+    est = estimate_distance_upper([x**308 - y], x0)
+    assert est.converged
+    assert est.bound == numeric._dist(x0, est.landed)
+
+
+def test_polish_keeps_its_landing_at_an_overflowing_jacobian():
+    def jacobian(z):
+        raise EvaluationOverflowError("evaluation overflowed double precision")
+
+    def residual_at(z):
+        raise AssertionError("the polish evaluated a trial")
+
+    landed = (3 + 0j, 4j)
+    with np.errstate(all="ignore"):
+        polished = numeric._tangential_polish(residual_at, jacobian, (0j, 0j), landed,
+                                              np.eye(4))
+    assert polished == landed
 
 
 def test_levenberg_run_gives_up_on_a_step_below_its_floor():
