@@ -51,14 +51,18 @@ class EvaluationOverflowError(ArithmeticError):
 # trials times the larger of the number of terms and degree times
 # variables, which bounds each of its tables (see _far_points).  Its peak
 # memory measured 39 to 95 bytes an entry (Python 3.11, numpy 2.4), so
-# the entry cap is about 1 GB.  Its root finding costs trials * d**2 a
-# sweep at degree d: on x^d - y + 1 at 100 trials, verify sample took
-# 1.6 s at d = 1,000 (10**8) and 5.4 s at d = 2,000 (4 * 10**8) on a
-# 2-vCPU x86-64 host, so the work cap keeps such a run to about 3 s.
+# the entry cap is about 1 GB.  Its root finding is charged trials *
+# (d**2 + _ROW_WORK * d) units at degree d: d**2 for a sweep over a
+# trial's d roots, and _ROW_WORK for each root's other work (its table
+# entries, direction and residual).  _ROW_WORK was fitted on far
+# sampling of x^d - y + 1 at radius 1 for d from 44 to 1,414, where a
+# unit took 14 to 18 ns on a 2-vCPU x86-64 host; there a run at the cap
+# took 2.5 to 4.2 s at each degree from 20 to 1,414.
 _MAX_STEPS = 100
 _MAX_TRIALS = 100_000
 _MAX_TABLE_ENTRIES = 10_000_000
 _MAX_ROOT_WORK = 200_000_000
+_ROW_WORK = 80
 _PLATEAU_SPAN = 10.0  # least t_last / t_first over a plateau's three steps (100 by default)
 
 
@@ -241,15 +245,19 @@ _PAIR_BLOCK = 1 << 14
 # The relative correction below which the root finder freezes a row.
 _ROOT_TOL = 1e-12
 # The sweeps a row runs before the root finder also stops it on the
-# backward-error bound.
+# backward-error bound, and the most it runs.
 _BACKWARD_SWEEPS = 64
+_MAX_SWEEPS = 500
 
 
-def _horner(a: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _horner(a: np.ndarray, z: np.ndarray,
+            columns: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """p(z) and p'(z) for each monic row of ``a`` (ascending) at each entry of z.
 
-    Only the nonzero coefficient columns are visited: a run of g zero
-    columns costs one power z**(g-1), not g multiplications.  The column
+    Only the nonzero coefficient columns are visited, from the top down:
+    ``columns``, descending, or by default every column below the
+    leading one that is nonzero in some row.  A run of g zero columns
+    costs one power z**(g-1), not g multiplications.  The column
     indices, and so the gaps, must stay numpy integers: with a Python int
     k, ``z ** k`` and ``k * p`` take other numpy paths and can change the
     last bits of the roots.
@@ -263,9 +271,11 @@ def _horner(a: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return p * zg * z, (dp * z + gap * p) * zg
 
     n = a.shape[1] - 1
+    if columns is None:
+        columns = np.flatnonzero(a[:, :n].any(axis=0))[::-1]
     p, dp = 1.0, 0.0  # the monic leading term; arrays from the first advance on
     prev = n
-    for c in np.flatnonzero(a[:, :n].any(axis=0))[::-1]:
+    for c in columns:
         p, dp = advance(p, dp, prev - c)
         p += a[:, c, None]
         prev = c
@@ -283,14 +293,15 @@ def _pair_sums(z: np.ndarray) -> np.ndarray:
     height = max(1, min(rows, _PAIR_BLOCK // (width * n)))  # rows per block
     work = np.empty(height * width * n, dtype=complex)  # reused: fresh arrays page-fault
     for i in range(0, n, width):
-        mine = np.arange(i, min(i + width, n))
+        mine = min(width, n - i)  # roots i, ..., i + mine - 1
         for r in range(0, rows, height):
             block = z[r:r + height]
-            d = work[:len(block) * len(mine) * n].reshape(len(block), len(mine), n)
-            np.subtract(block[:, i:i + width, None], block[:, None, :], out=d)
-            d[:, mine - i, mine] = math.inf  # so the term j = i is 1/inf = 0
+            flat = work[:len(block) * mine * n].reshape(len(block), mine * n)
+            d = flat.reshape(len(block), mine, n)
+            np.subtract(block[:, i:i + mine, None], block[:, None, :], out=d)
+            flat[:, i::n + 1] = math.inf  # d[:, k, i + k]: the term j = i is 1/inf = 0
             np.reciprocal(d, out=d)
-            d.sum(axis=2, out=out[r:r + height, i:i + width])
+            d.sum(axis=2, out=out[r:r + height, i:i + mine])
     return out
 
 
@@ -303,41 +314,59 @@ def _aberth(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     radius rho = max_k |a_k|**(1/(n-k)) (1 when that is 0), the scale of
     the roots: their moduli are at most 2*rho (Fujiwara's bound).  A row
     is frozen once its largest correction drops below _ROOT_TOL times its
-    root scale max(1, max |z_i|), after 500 sweeps, or, unconverged at its
-    last finite estimates, when a sweep would leave a root non-finite.
+    root scale max(1, max |z_i|), after _MAX_SWEEPS sweeps, or, unconverged
+    at its last finite estimates, when a sweep would leave a root non-finite.
     After _BACKWARD_SWEEPS sweeps a row also stops, converged at its
     current estimates, once every root z_i meets the backward-error bound
     |p(z_i)| <= 8 n eps sum_k |a_k| |z_i|**k (Bini & Fiorentino 2000): a
     cluster of roots can keep its corrections above _ROOT_TOL forever.
     The bound is relative, so a pure power z**n never meets it.
+
+    Each sweep evaluates p and p' on the columns that are nonzero in some
+    live row (see ``_horner``).  When every row has the same zero
+    columns, that schedule is found once per solve; otherwise each sweep
+    finds it among the live rows.  A row's sweep count is set when it
+    leaves, and the estimates of every live row are written back at once
+    unless one of them turned non-finite.
     """
     import numpy as np
     rows, n = a.shape[0], a.shape[1] - 1
+    nonzero = a[:, :n] != 0
+    columns = (np.flatnonzero(nonzero.any(axis=0))[::-1]
+               if (nonzero == nonzero[:1]).all() else None)
     with np.errstate(all="ignore"):
         radius = (np.abs(a[:, :n]) ** (1.0 / (n - np.arange(n)))).max(axis=1)
         radius[radius == 0] = 1.0
         z = radius[:, None] * np.exp(1j * (2 * math.pi / n * np.arange(n) + 0.4))
         converged = np.zeros(rows, dtype=bool)
-        sweeps = np.zeros(rows, dtype=int)
+        sweeps = np.full(rows, _MAX_SWEEPS)
         live = np.arange(rows)
-        for sweep in range(500):
+        for sweep in range(_MAX_SWEEPS):
             if not live.size:
                 break
             zl = z[live]
-            p, dp = _horner(a[live], zl)
+            p, dp = _horner(a[live], zl, columns)
             if sweep >= _BACKWARD_SWEEPS:  # a NaN ratio (0/0, inf/inf) fails the bound
-                scale = _horner(np.abs(a[live]), np.abs(zl))[0]
+                scale = _horner(np.abs(a[live]), np.abs(zl), columns)[0]
                 met = (np.abs(p) / scale <= 8 * n * np.finfo(float).eps).all(axis=1)
-                converged[live[met]] = True
+                left = live[met]
+                converged[left], sweeps[left] = True, sweep
                 live, zl, p, dp = live[~met], zl[~met], p[~met], dp[~met]
             step = p / (dp - p * _pair_sums(zl))
             zl = zl - step
-            sweeps[live] += 1
-            finite = np.isfinite(zl).all(axis=1)
-            done = np.abs(step).max(axis=1) < _ROOT_TOL * np.abs(zl).max(axis=1, initial=1.0)
-            z[live[finite]] = zl[finite]
-            converged[live[finite & done]] = True
-            live = live[finite & ~done]
+            # max of moduli from 0.0 is the plain max, NaN included, and faster
+            done = (np.abs(step).max(axis=1, initial=0.0)
+                    < _ROOT_TOL * np.abs(zl).max(axis=1, initial=1.0))
+            if np.isfinite(zl).all():
+                z[live] = zl
+            else:  # a row with a non-finite root stops, unconverged, at its last finite estimates
+                finite = np.isfinite(zl).all(axis=1)
+                z[live[finite]] = zl[finite]
+                sweeps[live[~finite]] = sweep + 1
+                live, done = live[finite], done[finite]
+            left = live[done]
+            converged[left], sweeps[left] = True, sweep + 1
+            live = live[~done]
     return z, converged, sweeps
 
 
@@ -467,8 +496,11 @@ def _far_points(f: Polynomial, radius: float, trials: int,
     phases (trials x terms), the coefficients and roots (trials x
     (d + 1)) and the kept directions (at most trials x d rows of n), and
     it keeps every exponent below the cap.  A second rule, checked after
-    it, bounds the time: trials times d**2, the root finder's work a
-    sweep, at most _MAX_ROOT_WORK.  The roots go into one table,
+    it, bounds the time: trials times (d**2 + _ROW_WORK * d), a sweep of
+    the root finder and the other work of each root, at most
+    _MAX_ROOT_WORK.  Slot (t, e) of the coefficient table sums the
+    terms of trial t whose free exponent is e, in term order from 0: one
+    np.add.at over the flattened table.  The roots go into one table,
     trials by roots, NaN past each trial's degree, which reads the kept
     points in the order of trials, then roots.  The angles come from
     ``_angle_table``'s cache (at most 8 tables of at most 4,096 angles,
@@ -490,10 +522,10 @@ def _far_points(f: Polynomial, radius: float, trials: int,
     if entries > _MAX_TABLE_ENTRIES:
         raise ValueError(f"far sampling needs at most {_MAX_TABLE_ENTRIES:,} table entries "
                          f"(trials * max(terms, degree * variables)), not {entries:,}")
-    work = trials * d * d
+    work = trials * (d * d + _ROW_WORK * d)
     if work > _MAX_ROOT_WORK:
         raise ValueError(f"far sampling needs at most {_MAX_ROOT_WORK:,} units of root-finding "
-                         f"work (trials * degree**2), not {work:,}")
+                         f"work (trials * (degree**2 + {_ROW_WORK} * degree)), not {work:,}")
     # f compiled once in scaled form: term t contributes
     # scaled[t] * exp(i * sum_k e_tk * theta_k) * w**e_tj
     # R >= 1 makes every factor R**(|e| - d) at most 1.
@@ -509,10 +541,12 @@ def _far_points(f: Polynomial, radius: float, trials: int,
     free = rows % n
     phase = sum(theta[:, k, None] * exps[:, k] for k in range(n))  # in a fixed order
     terms = scaled * np.exp(1j * phase)  # (trials, terms)
-    coeffs = np.zeros((trials, d + 1), dtype=complex)
     # add.at goes through the indices in order, so each slot sums its terms
-    # in term order, from 0.
-    np.add.at(coeffs, (rows[:, None], exps[:, free].T), terms)
+    # in term order, from 0.  numpy (1.25 on) has a fast add.at for one
+    # index array into a 1-D table, so the table is indexed flat.
+    coeffs = np.zeros((trials, d + 1), dtype=complex)
+    np.add.at(coeffs.reshape(-1), (rows[:, None] * (d + 1) + exps[:, free].T).reshape(-1),
+              terms.reshape(-1))
 
     # Leading coefficients below 1e-30 of the largest are dropped; a trial
     # whose restriction is then constant (degree 0) is skipped.  Every term
@@ -559,17 +593,20 @@ def sample_far_directions(f: Polynomial, radius: float, trials: int,
 
 
 def _evaluate_rows(compiled: Compiled, points: np.ndarray) -> np.ndarray:
-    """A compiled polynomial at every row of ``points``, term by term, with
-    each power points[:, i] ** e taken once per block of rows.
+    """A compiled form of positive degree at every row of ``points``, term
+    by term, with each power points[:, i] ** e taken once per block of rows.
 
-    The rows are split evenly into the fewest blocks whose cached powers,
-    a value per row for each distinct (i, e), hold at most
-    _MAX_TABLE_ENTRIES entries.  A row's value does not depend on its
-    block, except in a block of one row: numpy multiplies one-element
-    arrays in another inner loop, whose bits can differ (numpy 2.4,
-    x86-64).  An even split makes such a block only where a block holds
-    fewer than four rows, and every golden and benchmark input fits in
-    one block.
+    Each term starts as its coefficient times its first power and is
+    multiplied by the others in place.  A compiled coefficient is real
+    (imaginary part 0), so that first product has the bits of a filled
+    array times the power, one-element arrays included.  The rows are
+    split evenly into the fewest blocks whose cached powers, a value per
+    row for each distinct (i, e), hold at most _MAX_TABLE_ENTRIES
+    entries.  A row's value does not depend on its block, except in a
+    block of one row: numpy multiplies one-element arrays in another
+    inner loop, whose bits can differ (numpy 2.4, x86-64).  An even split
+    makes such a block only where a block holds fewer than four rows, and
+    every golden and benchmark input fits in one block.
     """
     import numpy as np
     pairs = len({f for _, factors in compiled for f in factors})
@@ -580,11 +617,13 @@ def _evaluate_rows(compiled: Compiled, points: np.ndarray) -> np.ndarray:
         block, out = points[rows], total[rows]  # out is a view: the sums land in total
         powers = {}
         for coeff, factors in compiled:
-            v = np.full(len(block), coeff)
             for i, e in factors:
                 if (i, e) not in powers:
                     powers[i, e] = block[:, i] ** e
-                v *= powers[i, e]
+            first, *rest = factors
+            v = np.multiply(coeff, powers[first])
+            for f in rest:
+                v *= powers[f]
             out += v
     return total
 

@@ -428,7 +428,9 @@ USAGE_ERRORS = {
     "table-above-cap": ["verify", "sample", str(DATA / "degree1000.ideal"),
                         "--trials", "100000"],
     "root-work-above-cap": ["verify", "sample", str(DATA / "degree1000.ideal"),
-                            "--trials", "201"],
+                            "--trials", "186"],
+    "root-work-rows-above-cap": ["verify", "sample", str(DATA / "degree44.ideal"),
+                                 "--trials", "100000"],
     "negative-seed-sample": ["verify", "sample", CUSP, "--seed", "-1"],
     "negative-seed-distance": ["verify", "distance", CUSP, "--direction", "1,0",
                                "--seed", "-1"],
@@ -532,7 +534,9 @@ def test_exact_commands_do_not_import_numpy():
         f"             ['verify', 'sample', {str(DATA / 'degree1000.ideal')!r},\n"
         "              '--trials', '100000'],\n"
         f"             ['verify', 'sample', {str(DATA / 'degree1000.ideal')!r},\n"
-        "              '--trials', '201']):\n"
+        "              '--trials', '186'],\n"
+        f"             ['verify', 'sample', {str(DATA / 'degree44.ideal')!r},\n"
+        "              '--trials', '100000']):\n"
         "    assert tcone.cli.main(args) == 1, args\n"
         "    assert not (found := loaded('numpy')), (args, found)\n"
         # So do the library's refusals.

@@ -340,6 +340,132 @@ def test_pair_sums_in_blocks(monkeypatch):
         assert np.allclose(numeric._pair_sums(z), direct, rtol=1e-13, atol=0)
 
 
+def horner_reference(a, z):
+    """p(z) and p'(z) of every monic row of a, as the root finder first
+    computed them: each call visits the columns below the leading one that
+    are nonzero in some row of a, as numpy integers, from the top down."""
+    def advance(p, dp, gap):
+        if gap == 1:
+            return p * z, dp * z + p
+        zg = z ** (gap - 1)
+        return p * zg * z, (dp * z + gap * p) * zg
+
+    n = a.shape[1] - 1
+    p, dp = 1.0, 0.0
+    prev = n
+    for c in np.flatnonzero(a[:, :n].any(axis=0))[::-1]:
+        p, dp = advance(p, dp, prev - c)
+        p += a[:, c, None]
+        prev = c
+    if prev:
+        p, dp = advance(p, dp, prev)
+    return p, dp
+
+
+def pair_sums_reference(z):
+    """sum over j != i of 1 / (z[r, i] - z[r, j]), in the blocks of
+    numeric._PAIR_BLOCK entries the root finder first used, each block's
+    diagonal set to inf through an index array."""
+    rows, n = z.shape
+    out = np.empty_like(z)
+    width = max(1, min(n, numeric._PAIR_BLOCK // n))
+    height = max(1, min(rows, numeric._PAIR_BLOCK // (width * n)))
+    work = np.empty(height * width * n, dtype=complex)
+    for i in range(0, n, width):
+        mine = np.arange(i, min(i + width, n))
+        for r in range(0, rows, height):
+            block = z[r:r + height]
+            d = work[:len(block) * len(mine) * n].reshape(len(block), len(mine), n)
+            np.subtract(block[:, i:i + width, None], block[:, None, :], out=d)
+            d[:, mine - i, mine] = math.inf
+            np.reciprocal(d, out=d)
+            d.sum(axis=2, out=out[r:r + height, i:i + width])
+    return out
+
+
+def aberth_reference(a):
+    """(z, converged, sweeps) of numeric._aberth, by its first loop: every
+    sweep takes the live rows' nonzero columns afresh, counts a sweep for
+    every live row and writes back the finite rows through their mask."""
+    rows, n = a.shape[0], a.shape[1] - 1
+    with np.errstate(all="ignore"):
+        radius = (np.abs(a[:, :n]) ** (1.0 / (n - np.arange(n)))).max(axis=1)
+        radius[radius == 0] = 1.0
+        z = radius[:, None] * np.exp(1j * (2 * math.pi / n * np.arange(n) + 0.4))
+        converged = np.zeros(rows, dtype=bool)
+        sweeps = np.zeros(rows, dtype=int)
+        live = np.arange(rows)
+        for sweep in range(500):
+            if not live.size:
+                break
+            zl = z[live]
+            p, dp = horner_reference(a[live], zl)
+            if sweep >= numeric._BACKWARD_SWEEPS:
+                scale = horner_reference(np.abs(a[live]), np.abs(zl))[0]
+                met = (np.abs(p) / scale <= 8 * n * np.finfo(float).eps).all(axis=1)
+                converged[live[met]] = True
+                live, zl, p, dp = live[~met], zl[~met], p[~met], dp[~met]
+            step = p / (dp - p * pair_sums_reference(zl))
+            zl = zl - step
+            sweeps[live] += 1
+            finite = np.isfinite(zl).all(axis=1)
+            done = (np.abs(step).max(axis=1)
+                    < numeric._ROOT_TOL * np.abs(zl).max(axis=1, initial=1.0))
+            z[live[finite]] = zl[finite]
+            converged[live[finite & done]] = True
+            live = live[finite & ~done]
+    return z, converged, sweeps
+
+
+def far_sampling_rows(f, trials=100):
+    """The monic rows far sampling hands the root finder for f at R = 1e6."""
+    rows, aberth = [], numeric._aberth
+
+    def recorded(a):
+        rows.append(a.copy())
+        return aberth(a)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(numeric, "_aberth", recorded)
+        far_sample_report(f, trials=trials)
+    return rows
+
+
+def test_aberth_bit_identical_to_reference_loop(xy):
+    """The root finder keeps the bits, convergence flags and sweep counts
+    of its first loop on every kind of batch: one zero pattern, patterns
+    that differ, a row that leaves double precision, rows stopped by the
+    backward-error bound, one row, and rows in several pair-sum blocks."""
+    _, x, y = xy
+    rng = np.random.default_rng(11)
+    dense = rng.standard_normal((12, 7)) + 1j * rng.standard_normal((12, 7))
+    dense[:, -1] = 1
+    mixed = np.vstack([dense[:4], [[1, 0, 0, 0, 0, 0, 1],  # z**6 = -1
+                                   [0, 0, 0, 0, 0, 0, 1],  # a sixfold root at 0
+                                   [0, 3, 0, 0, 1j, 0, 1]]])
+    blown = np.vstack([dense[:4], [[1e200] * 6 + [1]]])
+    clustered = far_sampling_rows((x - y)**10 + x**9)
+    high = far_sampling_rows(x**60 - y**59 + 1)
+    batches = [("dense", dense), ("mixed", mixed), ("blown", blown), ("one row", dense[:1]),
+               *(("clustered", a) for a in clustered), *(("x^60 - y^59 + 1", a) for a in high)]
+    sweeps = {}  # name -> the sweep counts of each of its batches
+    for name, a in batches:
+        got, want = numeric._aberth(a), aberth_reference(a)
+        assert got[0].tobytes() == want[0].tobytes(), name
+        assert got[1].tolist() == want[1].tolist(), name
+        assert got[2].tolist() == want[2].tolist(), name
+        sweeps.setdefault(name, []).append(got[2])
+    # Each batch is what its name says.
+    pattern = mixed[:, :-1] != 0
+    assert not (pattern == pattern[0]).all()
+    assert sweeps["mixed"][0][-2] > numeric._BACKWARD_SWEEPS
+    assert numeric._aberth(blown)[1].tolist() == [True] * 4 + [False]
+    assert sweeps["blown"][0][-1] == 1
+    assert all((s >= numeric._BACKWARD_SWEEPS).all() for s in sweeps["clustered"])
+    assert sum(len(a) for a in high) == 100
+    assert all(len(a) > numeric._PAIR_BLOCK // (a.shape[1] - 1) ** 2 for a in high)
+
+
 # -- substitution -----------------------------------------------------------
 
 
@@ -504,23 +630,28 @@ def test_sample_report_dense_degree_7_surface(xyz):
     assert report.diagnostics.startswith("700/700 ")
 
 
-def far_points_reference(f, radius, trials, seed):
+def far_points_reference(f, radius, trials, seed, theta=None):
     """(directions, skipped) of far sampling, trial by trial: one
     default_rng([seed, trial]) per trial, its restriction's coefficients
     summed term by term, and its kept roots divided by their norms on
-    their own.  Only the root solve is shared: it runs on the rows of
-    each degree and lowest nonzero column k, in trial order, as _aberth's
+    their own.  ``theta`` (trials x n) replaces the drawn angles.  Only
+    the root solve is shared: it runs on the rows of
+    each degree and lowest nonzero column k, in trial order, as the
     batched arithmetic depends on the batch's nonzero columns; the first
-    k roots of such a row are exactly 0, and _aberth solves the rest."""
+    k roots of such a row are exactly 0, and aberth_reference, the root
+    finder's first loop, solves the rest."""
     n, d = f.context.n, total_degree(f)
     exps = np.array(list(f.terms), dtype=np.int64)
     scaled = np.array([complex(float(c)) * radius ** (sum(e) - d) for e, c in f.terms.items()])
     rows, units, by_degree = {}, {}, {}
     for trial in range(trials):
         j = trial % n
-        angles = np.random.default_rng([seed, trial]).uniform(0.0, 2.0 * math.pi, n - 1)
-        theta = np.concatenate([angles[:j], [0.0], angles[j:]])
-        phase = sum(theta[k] * exps[:, k] for k in range(n))
+        if theta is None:
+            angles = np.random.default_rng([seed, trial]).uniform(0.0, 2.0 * math.pi, n - 1)
+            angle = np.concatenate([angles[:j], [0.0], angles[j:]])
+        else:
+            angle = theta[trial]
+        phase = sum(angle[k] * exps[:, k] for k in range(n))
         terms = scaled * np.exp(1j * phase)
         coeffs = np.zeros(d + 1, dtype=complex)
         for t in range(len(terms)):
@@ -529,7 +660,7 @@ def far_points_reference(f, radius, trials, seed):
         m = next((k for k in range(d, 0, -1) if size[k] > 1e-30 * max(size)), 0)
         k = next(k for k in range(d + 1) if coeffs[k] != 0)
         by_degree.setdefault((m, k) if m else 0, []).append(trial)
-        rows[trial], units[trial] = coeffs, np.exp(1j * theta)
+        rows[trial], units[trial] = coeffs, np.exp(1j * angle)
     kept = {}
     for key, group in by_degree.items():
         if key == 0:
@@ -538,7 +669,7 @@ def far_points_reference(f, radius, trials, seed):
         w = np.zeros((len(group), m), dtype=complex)
         if low < m:
             a = np.array([rows[t][low:m + 1] / rows[t][m] for t in group])
-            w[:, low:] = numeric._aberth(a)[0]
+            w[:, low:] = aberth_reference(a)[0]
         for k, trial in enumerate(group):
             points = np.repeat(units[trial][None, :], m, axis=0)
             points[:, trial % n] = w[k]
@@ -582,6 +713,40 @@ def test_far_sampling_bit_identical_to_per_trial_reference():
         residuals = np.abs(rows_reference(leading_form(f), np.array(want).reshape(-1, n)))
         assert repr(report.samples) == repr(tuple((radius, r) for r in residuals.tolist())
                                             or ((radius, None),)), (f, radius, trials, seed)
+
+
+def test_far_sampling_table_sums_cancelling_terms_in_term_order(monkeypatch):
+    """With every angle 0 and R = 1, slot e of a trial's coefficient table
+    sums the coefficients of the terms whose free exponent is e.  On these
+    polynomials several terms land in one slot and cancel there to exactly
+    0, the leading slot among them, so the restriction loses degree.  The
+    flat np.add.at table sums each slot in term order from 0, as the
+    trial-by-trial reference adds into it, and the directions keep their
+    bits."""
+    ctx = VariableContext(("x", "y", "z"))
+    x, y, z = variables(ctx)
+    xy = VariableContext(("x", "y"))
+    u, v = variables(xy)
+    polys = [x**3 * y - x**3 * z + x**2 * y + 2 * x * z - 2 * x + y**2 - z + 1,
+             u**4 + u**2 * v - u**2 + u * v**2 - u * v + v**3 - 1]
+    monkeypatch.setattr(numeric, "_angle_table", lambda seed, trials, n: np.zeros((trials, n)))
+    leading = 0  # cancelled slots that lead their restriction
+    for f in polys:
+        n, cancels = f.context.n, 0
+        for j in range(n):
+            slots = {}
+            for e, c in f.terms.items():
+                slots.setdefault(e[j], []).append(c)
+            cancelled = [e for e, cs in slots.items() if len(cs) > 1 and sum(cs) == 0]
+            cancels += len(cancelled)
+            leading += max(slots) in cancelled
+        assert cancels
+        got = sample_far_directions(f, 1.0, 2 * n, 0)
+        want, skipped = far_points_reference(f, 1.0, 2 * n, 0, theta=np.zeros((2 * n, n)))
+        assert got.skipped == skipped
+        assert [[bits(w) for w in p] for p in got.directions] == \
+            [[bits(w) for w in p] for p in (q.tolist() for q in want)]
+    assert leading
 
 
 def test_far_sampling_exact_zero_roots(xy):
@@ -775,9 +940,11 @@ def test_far_sampling_caps_its_table_entries(xy, monkeypatch):
 
 
 def test_far_sampling_caps_its_root_finding_work(xy, monkeypatch):
-    """The root finder's work, trials * degree**2, is capped before anything
-    is drawn, after the table-size rule: x^(10^7) - y at 3 trials passes
-    both caps, and the table's message is the one given."""
+    """The root finder's work, trials * (degree**2 + 80 * degree), a sweep
+    and the other work of each root, is capped before anything is drawn,
+    after the table-size rule: x^(10^7) - y at 3 trials passes both caps,
+    and the table's message is the one given.  The per-root term refuses
+    x^44 - y + 1 at 100,000 trials, which trials * degree**2 admitted."""
     _, x, y = xy
 
     def drawn(*args):
@@ -786,15 +953,17 @@ def test_far_sampling_caps_its_root_finding_work(xy, monkeypatch):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(numeric, "_angle_table", drawn)
         with pytest.raises(ValueError, match="^far sampling needs at most 200,000,000 units of "
-                                             r"root-finding work \(trials \* degree\*\*2\), "
-                                             "not 201,000,000$"):
-            far_sample_report(x**1000 - y + 1, trials=201)
+                                             r"root-finding work \(trials \* \(degree\*\*2 "
+                                             r"\+ 80 \* degree\)\), not 200,880,000$"):
+            far_sample_report(x**1000 - y + 1, trials=186)
+        with pytest.raises(ValueError, match="not 545,600,000$"):
+            far_sample_report(x**44 - y + 1, trials=100_000)
         with pytest.raises(ValueError, match="table entries"):
             far_sample_report(x**(10**7) - y, trials=3)
-        monkeypatch.setattr(numeric, "_MAX_ROOT_WORK", 36)
-        with pytest.raises(ValueError, match="not 45$"):
+        monkeypatch.setattr(numeric, "_MAX_ROOT_WORK", 996)
+        with pytest.raises(ValueError, match="not 1,245$"):
             far_sample_report(x**3 - y + 1, trials=5)
-    assert far_sample_report(x**3 - y + 1, trials=4).trials == 4  # 36, at the cap
+    assert far_sample_report(x**3 - y + 1, trials=4).trials == 4  # 996, at the cap
 
 
 def test_far_sample_residuals_keep_their_bits_in_blocks_of_rows(xy, monkeypatch):
